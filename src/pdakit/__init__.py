@@ -57,7 +57,6 @@ from .families import (
 from .graphs import (
     ColoredBipartiteGraph,
     ColoredGraph,
-    Graph,
     GraphError,
     NonConstantDegreeError,
     NotStrongError,
@@ -65,7 +64,6 @@ from .graphs import (
     VertexColoring,
     as_general_graph,
     coloring_to_pda,
-    cycle,
     cycle_strong_coloring,
     cycle_vertex_coloring,
     is_strong_coloring,

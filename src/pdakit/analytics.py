@@ -14,7 +14,7 @@ their printed values and flagged ``not-recomputed``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -232,96 +232,84 @@ class TableRow:
 _COLUMNS = ("K", "one_minus_MN", "F", "R")
 
 
-def _compare(row: SchemeRow, printed: dict[str, tuple[str, Optional[Fraction]]],
-             extra_divergence: tuple[str, ...] = ()) -> TableRow:
-    divergent = list(extra_divergence)
+def _printed(text: str) -> Fraction:
+    """A printed table value as an exact rational: 90, 1/4, 7.77, 2^19 or 3*2^16."""
+    value = Fraction(1)
+    for factor in text.split("*"):
+        base, _, exponent = factor.partition("^")
+        value *= Fraction(base) ** int(exponent or 1)
+    return value
+
+
+def _compare(row: SchemeRow, printed: tuple[str, ...], printed_label: Optional[str] = None) -> TableRow:
+    """Flag each column whose printed value, given in ``_COLUMNS`` order, differs from ``row``."""
+    divergent: list[str] = []
     shown: list[tuple[str, str]] = []
-    for col in _COLUMNS:
-        if col not in printed:
-            continue
-        display, exact_printed = printed[col]
+    for col, text in zip(_COLUMNS, printed):
         ours = getattr(row, col)
-        if ours is None or (exact_printed is not None and Fraction(ours) != exact_printed):
+        if ours is None or Fraction(ours) != _printed(text):
             divergent.append(col)
-            shown.append((col, display))
-    if "label" in printed:
-        display, _ = printed["label"]
-        if display != row.label:
-            divergent.append("label")
-            shown.append(("label", display))
+            shown.append((col, text))
+    if printed_label is not None and printed_label != row.label:
+        divergent.append("label")
+        shown.append(("label", printed_label))
     return TableRow(row=row, paper_values=tuple(shown), divergence=tuple(divergent))
 
 
-def _baseline(label: str, k: int, one_minus: Fraction, f: int, r: Fraction, note: str) -> TableRow:
-    row = SchemeRow(label=label, K=k, one_minus_MN=one_minus, F=f, R=r, note=note)
-    shown = tuple(
-        (col, str(val))
-        for col, val in (("K", k), ("one_minus_MN", one_minus), ("F", f), ("R", r))
+# Tables II, IV and VI as printed (label, K, 1-M/N, F, R): baseline schemes
+# whose constructions are not in this package.
+_BASELINES = {
+    "II": (
+        ("n~6*sqrt(5)", "90", "1/4", "2382", "1"),
+        ("n~2*sqrt(66)", "132", "1/4", "15406", "1"),
+        ("n~2*sqrt(91)", "182", "1/4", "101147", "1"),
+    ),
+    "IV": (
+        ("n~sqrt(1568)", "784", "1/4", "2598778", "39.50"),
+        ("n~sqrt(2592)", "1296", "1/4", "255881905", "50.91"),
+        ("n~sqrt(4050)", "2025", "1/4", "45902134943", "63.64"),
+    ),
+    "VI": (
+        ("n~sqrt(540)", "270", "1/4", "1637369", "1"),
+        ("n~sqrt(792)", "396", "1/4", "44564986", "1"),
+        ("n~sqrt(1092)", "546", "1/4", "1230404836", "1"),
+    ),
+}
+
+
+def _baseline(label: str, *printed: str) -> TableRow:
+    k, one_minus, f, r = (_printed(text) for text in printed)
+    row = SchemeRow(
+        label=label, K=int(k), one_minus_MN=one_minus, F=int(f), R=r,
+        note="published baseline scheme; F printed from a Stirling estimate",
     )
+    shown = tuple((col, str(getattr(row, col))) for col in _COLUMNS)
     return TableRow(row=row, paper_values=shown, divergence=("not-recomputed",))
 
 
-def _table_ii() -> list[TableRow]:
-    note = "published baseline scheme; F printed from a Stirling estimate"
-    return [
-        _baseline("n~6*sqrt(5)", 90, Fraction(1, 4), 2382, Fraction(1), note),
-        _baseline("n~2*sqrt(66)", 132, Fraction(1, 4), 15406, Fraction(1), note),
-        _baseline("n~2*sqrt(91)", 182, Fraction(1, 4), 101147, Fraction(1), note),
-    ]
-
-
 def _table_iii() -> list[TableRow]:
-    rows = []
     printed = {
-        10: {"K": ("90", Fraction(90)), "one_minus_MN": ("1/4", Fraction(1, 4)),
-             "F": ("210", Fraction(210)), "R": ("5", Fraction(5))},
-        12: {"K": ("132", Fraction(132)), "one_minus_MN": ("1/4", Fraction(1, 4)),
-             "F": ("792", Fraction(792)), "R": ("7", Fraction(7))},
-        14: {"K": ("182", Fraction(182)), "one_minus_MN": ("1/4", Fraction(1, 4)),
-             "R": ("8", Fraction(8)), "F": ("3003", Fraction(3003))},
+        10: ("90", "1/4", "210", "5"),
+        12: ("132", "1/4", "792", "7"),
+        14: ("182", "1/4", "3003", "8"),
     }
-    for n in (10, 12, 14):
-        row = restricted_family_params(n, 1, n // 2, 1)
-        row = SchemeRow(
-            label=f"n={n}",
-            K=row.K, one_minus_MN=row.one_minus_MN, F=row.F, R=row.R,
-            note="printed 1-M/N is the large-b asymptote ((lambda-1)/lambda)^2 = 1/4",
-        )
-        rows.append(_compare(row, printed[n]))
-    return rows
-
-
-def _table_iv() -> list[TableRow]:
-    note = "published baseline scheme; F printed from a Stirling estimate"
+    note = "printed 1-M/N is the large-b asymptote ((lambda-1)/lambda)^2 = 1/4"
     return [
-        _baseline("n~sqrt(1568)", 784, Fraction(1, 4), 2598778, Fraction("39.50"), note),
-        _baseline("n~sqrt(2592)", 1296, Fraction(1, 4), 255881905, Fraction("50.91"), note),
-        _baseline("n~sqrt(4050)", 2025, Fraction(1, 4), 45902134943, Fraction("63.64"), note),
+        _compare(replace(restricted_family_params(n, 1, n // 2, 1), label=f"n={n}", note=note), printed[n])
+        for n in (10, 12, 14)
     ]
 
 
 def _table_v() -> list[TableRow]:
-    rows = []
-    printed_by_a = {
-        4: {"K": ("784", Fraction(784)), "one_minus_MN": ("1/4", Fraction(1, 4)),
-            "F": ("5215", Fraction(5215)), "R": ("16", Fraction(16))},
-        5: {"K": ("2025", Fraction(2025)), "one_minus_MN": ("1/4", Fraction(1, 4)),
-            "F": ("66754", Fraction(66754)), "R": ("25", Fraction(25))},
-    }
-    for a in (4, 5):
+    note = "printed F is a Stirling estimate; printed 1-M/N the large-n asymptote"
+
+    def closed(a: int) -> SchemeRow:
         n = 2 * a
-        row = star_intersection_params(n, a, 2, 1, n, a, 2, 1)
-        row = SchemeRow(
-            label=f"a={a}",
-            K=row.K, one_minus_MN=row.one_minus_MN, F=row.F, R=row.R,
-            f_estimate=stirling_binomial_estimate(n, a) ** 2,
-            note="printed F is a Stirling estimate; printed 1-M/N the large-n asymptote",
+        return replace(
+            star_intersection_params(n, a, 2, 1, n, a, 2, 1),
+            label=f"a={a}", f_estimate=stirling_binomial_estimate(n, a) ** 2, note=note,
         )
-        rows.append(_compare(row, printed_by_a[a]))
-    printed_half = {
-        "K": ("1296", Fraction(1296)), "one_minus_MN": ("1/4", Fraction(1, 4)),
-        "F": ("18542", Fraction(18542)), "R": ("20.25", Fraction(81, 4)),
-    }
+
     # a = 4.5 with n = 9: K = C(9,2)^2, R = (n-a)^2, and 1-M/N = (9/16)^2
     # survive gamma-function cancellation; F itself indexes no integral scheme.
     half = SchemeRow(
@@ -333,76 +321,48 @@ def _table_v() -> list[TableRow]:
         f_estimate=stirling_binomial_estimate(9, 4.5) ** 2,
         note="a=4.5 is non-integral: K and R survive cancellation, F does not",
     )
-    mid = _compare(half, printed_half)
-    rows.insert(1, mid)
-    return rows
-
-
-def _table_vi() -> list[TableRow]:
-    note = "published baseline scheme; F printed from a Stirling estimate"
     return [
-        _baseline("n~sqrt(540)", 270, Fraction(1, 4), 1637369, Fraction(1), note),
-        _baseline("n~sqrt(792)", 396, Fraction(1, 4), 44564986, Fraction(1), note),
-        _baseline("n~sqrt(1092)", 546, Fraction(1, 4), 1230404836, Fraction(1), note),
+        _compare(closed(4), ("784", "1/4", "5215", "16")),
+        _compare(half, ("1296", "1/4", "18542", "20.25")),
+        _compare(closed(5), ("2025", "1/4", "66754", "25")),
     ]
 
 
 def _table_vii() -> list[TableRow]:
-    rows = []
-    printed_by_n = {
-        10: {"K": ("270", Fraction(270)), "one_minus_MN": ("1/4", Fraction(1, 4)),
-             "F": ("703", Fraction(703)), "R": ("7.77", Fraction("7.77"))},
-        12: {"K": ("396", Fraction(396)), "one_minus_MN": ("1/4", Fraction(1, 4)),
-             "F": ("2152", Fraction(2152)), "R": ("7.77", Fraction("7.77"))},
-        14: {"K": ("546", Fraction(546)), "one_minus_MN": ("1/4", Fraction(1, 4)),
-             "F": ("6679", Fraction(6679)), "R": ("7.77", Fraction("7.77"))},
+    printed = {
+        10: ("270", "1/4", "703", "7.77"),
+        12: ("396", "1/4", "2152", "7.77"),
+        14: ("546", "1/4", "6679", "7.77"),
     }
-    for n in (10, 12, 14):
-        row = cycle_family_params(n, n // 2, 2, 6)
-        row = SchemeRow(
-            label=f"n={n}", K=row.K, one_minus_MN=row.one_minus_MN, F=row.F, R=row.R,
-            note="printed F and R do not follow from the scheme's own closed forms",
-        )
-        rows.append(_compare(row, printed_by_n[n]))
-    return rows
+    note = "printed F and R do not follow from the scheme's own closed forms"
+    return [
+        _compare(replace(cycle_family_params(n, n // 2, 2, 6), label=f"n={n}", note=note), printed[n])
+        for n in (10, 12, 14)
+    ]
 
 
 def _table_viii() -> list[TableRow]:
-    printed = [
-        {"label": ("(24,2,17,3)", None), "K": ("48", Fraction(48)),
-         "one_minus_MN": ("3/8", Fraction(3, 8)), "F": ("2^19", Fraction(2**19)),
-         "R": ("3/4", Fraction(3, 4))},
-        {"label": ("(60,2,44,4)", None), "K": ("120", Fraction(120)),
-         "one_minus_MN": ("3/8", Fraction(3, 8)), "F": ("2^46", Fraction(2**46)),
-         "R": ("3/4", Fraction(3, 4))},
-        {"label": ("(96,2,71,3)", None), "K": ("192", Fraction(192)),
-         "one_minus_MN": ("3/8", Fraction(3, 8)), "F": ("2^73", Fraction(2**73)),
-         "R": ("3/4", Fraction(3, 4))},
-    ]
     # the printed x=4 in row 2 is not minimal; x=3 is, and reproduces F=2^46
-    args = [(24, 2, 17, 3), (60, 2, 44, 3), (96, 2, 71, 3)]
-    return [_compare(block_code_params(*a), pr) for a, pr in zip(args, printed)]
+    rows = [
+        ((24, 2, 17, 3), "(24,2,17,3)", ("48", "3/8", "2^19", "3/4")),
+        ((60, 2, 44, 3), "(60,2,44,4)", ("120", "3/8", "2^46", "3/4")),
+        ((96, 2, 71, 3), "(96,2,71,3)", ("192", "3/8", "2^73", "3/4")),
+    ]
+    return [_compare(block_code_params(*args), printed, label) for args, label, printed in rows]
 
 
 def _table_ix() -> list[TableRow]:
-    printed = [
-        {"K": ("48", Fraction(48)), "one_minus_MN": ("3/8", Fraction(3, 8)),
-         "F": ("3*2^7", Fraction(3 * 2**7)), "R": ("2", Fraction(2))},
-        {"K": ("120", Fraction(120)), "one_minus_MN": ("3/8", Fraction(3, 8)),
-         "F": ("3*2^16", Fraction(3 * 2**16)), "R": ("2", Fraction(2))},
-        {"K": ("192", Fraction(192)), "one_minus_MN": ("3/8", Fraction(3, 8)),
-         "F": ("3*2^25", Fraction(3 * 2**25)), "R": ("2", Fraction(2))},
+    rows = [
+        ((4, 2, 5, 3, 6), ("48", "3/8", "3*2^7", "2")),
+        ((10, 2, 14, 3, 6), ("120", "3/8", "3*2^16", "2")),
+        ((16, 2, 23, 3, 6), ("192", "3/8", "3*2^25", "2")),
     ]
-    args = [(4, 2, 5, 3, 6), (10, 2, 14, 3, 6), (16, 2, 23, 3, 6)]
-    return [_compare(block_code_cycle_params(*a), pr) for a, pr in zip(args, printed)]
+    return [_compare(block_code_cycle_params(*args), printed) for args, printed in rows]
 
 
 _TABLES: dict[str, Callable[[], list[TableRow]]] = {
-    "II": _table_ii,
     "III": _table_iii,
-    "IV": _table_iv,
     "V": _table_v,
-    "VI": _table_vi,
     "VII": _table_vii,
     "VIII": _table_viii,
     "IX": _table_ix,
@@ -412,17 +372,15 @@ _TABLES: dict[str, Callable[[], list[TableRow]]] = {
 def table_report(which: str) -> list[TableRow]:
     """Rows of one published comparison table, II through IX."""
     key = which.strip().upper()
+    if key in _BASELINES:
+        return [_baseline(*printed) for printed in _BASELINES[key]]
     if key not in _TABLES:
         raise ParameterError(f"no such table {which!r}; choose from {', '.join(TABLE_NAMES)}")
     return _TABLES[key]()
 
 
 def _cell(value) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, Fraction):
-        return str(value)
-    return str(value)
+    return "NA" if value is None else str(value)
 
 
 def render_csv(rows: list[TableRow], include_estimates: bool = False) -> str:

@@ -135,13 +135,13 @@ def _cmd_combine(args) -> int:
             raise InvalidPdaError(f"{path} is not a valid PDA")
     combined = _combine_graphs(args, arrays)
     p = graphs.coloring_to_pda(combined)
+    measured = params(p)
     if args.mode == "same-colors" and len(arrays) == 2:
         claim = combinators.same_colors_claimed_params(arrays[0], arrays[1])
-        measured = params(p)
         flags = "agrees" if claim == (measured.K, measured.F, measured.Z, measured.S) else "DIVERGES from measured"
         print(f"published parameter claim (K,F,Z,S)={claim} {flags}")
     _save(args.output, p)
-    print(f"wrote {args.output}: {params(p)}")
+    print(f"wrote {args.output}: {measured}")
     return EXIT_OK
 
 
@@ -175,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a base array and write it to a file")
-    b.add_argument("--family", required=True,
-                   choices=["disjoint-union", "intersection-t", "restricted-combined", "trivial", "star"])
+    b.add_argument("--family", required=True, choices=list(families.FamilySpec._NEEDED))
     b.add_argument("--n", type=int)
     b.add_argument("--a", type=int)
     b.add_argument("--b", type=int)
@@ -229,10 +228,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (families.FamilyParameterError, analytics.ParameterError, scheme.SchemeError) as exc:
+    except (UsageError, families.FamilyParameterError, analytics.ParameterError, scheme.SchemeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PdaError, graphs.GraphError, combinators.CombineError) as exc:

@@ -29,11 +29,6 @@ from .graphs import (
     two_coloring,
 )
 
-# Dense color index -> the contributing tuple it stands for; total and
-# invertible by construction (see graphs.coloring_to_pda).
-CombineLegend = dict[int, object]
-
-
 class CombineError(ValueError):
     """Inputs rejected by a composition operator."""
 

@@ -269,16 +269,10 @@ class _Budget:
         return self.remaining >= 0
 
 
-def _row_signature(p: PdaArray, j: int, class_sizes: dict[int, int]) -> tuple:
-    stars = sum(1 for e in p.grid[j] if e is None)
-    profile = tuple(sorted(class_sizes[e] for e in p.grid[j] if e is not None))
-    return (stars, profile)
-
-
-def _col_signature(p: PdaArray, k: int, class_sizes: dict[int, int]) -> tuple:
-    col = p.column(k)
-    stars = sum(1 for e in col if e is None)
-    profile = tuple(sorted(class_sizes[e] for e in col if e is not None))
+def _signature(line: tuple[Entry, ...], class_sizes: dict[int, int]) -> tuple:
+    """Star count and sorted color-class sizes of one row or column."""
+    stars = sum(1 for e in line if e is None)
+    profile = tuple(sorted(class_sizes[e] for e in line if e is not None))
     return (stars, profile)
 
 
@@ -300,12 +294,12 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
     if sorted(sizes1.values()) != sorted(sizes2.values()):
         return EquivalenceResult.INEQUIVALENT
 
-    rsig1 = [_row_signature(p1, j, sizes1) for j in range(p1.F)]
-    rsig2 = [_row_signature(p2, j, sizes2) for j in range(p2.F)]
+    rsig1 = [_signature(row, sizes1) for row in p1.grid]
+    rsig2 = [_signature(row, sizes2) for row in p2.grid]
     if sorted(rsig1) != sorted(rsig2):
         return EquivalenceResult.INEQUIVALENT
-    csig1 = [_col_signature(p1, k, sizes1) for k in range(p1.K)]
-    csig2 = [_col_signature(p2, k, sizes2) for k in range(p2.K)]
+    csig1 = [_signature(p1.column(k), sizes1) for k in range(p1.K)]
+    csig2 = [_signature(p2.column(k), sizes2) for k in range(p2.K)]
     if sorted(csig1) != sorted(csig2):
         return EquivalenceResult.INEQUIVALENT
 

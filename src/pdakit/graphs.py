@@ -83,22 +83,6 @@ class ColoredBipartiteGraph:
 
 
 @dataclass(frozen=True)
-class Graph:
-    """Plain undirected graph; edges are 2-element frozensets."""
-
-    vertices: tuple[Label, ...]
-    edges: frozenset[frozenset[Label]]
-
-    def __post_init__(self):
-        vset = set(self.vertices)
-        for e in self.edges:
-            if len(e) != 2:
-                raise GraphError(f"edge {set(e)!r} is not a 2-set (self-loops are not allowed)")
-            if not e <= vset:
-                raise GraphError(f"edge {set(e)!r} uses undeclared vertices")
-
-
-@dataclass(frozen=True)
 class ColoredGraph:
     """General edge-colored graph: ({u, v}, color) pairs over declared vertices."""
 
@@ -121,9 +105,6 @@ class ColoredGraph:
     def colors(self) -> frozenset[Label]:
         return frozenset(s for _, s in self.colored_edges)
 
-    def support(self) -> Graph:
-        return Graph(self.vertices, frozenset(e for e, _ in self.colored_edges))
-
 
 @dataclass(frozen=True)
 class VertexColoring:
@@ -131,24 +112,8 @@ class VertexColoring:
 
     assignments: tuple[tuple[Label, Label], ...]
 
-    def color(self, v: Label) -> Label:
-        for u, s in self.assignments:
-            if u == v:
-                return s
-        raise KeyError(v)
-
     def as_dict(self) -> dict[Label, Label]:
         return dict(self.assignments)
-
-    def check_on(self, graph: Graph) -> None:
-        mapping = self.as_dict()
-        missing = [v for v in graph.vertices if v not in mapping]
-        if missing:
-            raise GraphError(f"vertex coloring not total: {missing[0]!r} unassigned")
-        for e in graph.edges:
-            u, v = tuple(e)
-            if mapping[u] == mapping[v]:
-                raise GraphError(f"adjacent vertices {u!r}, {v!r} share color {mapping[u]!r}")
 
 
 @dataclass(frozen=True)
@@ -160,26 +125,6 @@ class Orientation:
     @property
     def colors(self) -> frozenset[Label]:
         return frozenset(s for _, s in self.directed)
-
-    def support(self) -> frozenset[frozenset[Label]]:
-        return frozenset(frozenset(pair) for pair, _ in self.directed)
-
-    def reversed_support(self) -> frozenset[tuple[Label, Label]]:
-        return frozenset((y, x) for (x, y), _ in self.directed)
-
-    def check_on(self, coloring: ColoredGraph) -> None:
-        host = {e for e, _ in coloring.colored_edges}
-        chosen: set[frozenset[Label]] = set()
-        for (x, y), _ in self.directed:
-            e = frozenset((x, y))
-            if e not in host:
-                raise GraphError(f"directed edge {(x, y)!r} not in the host coloring")
-            if e in chosen:
-                raise GraphError(f"both directions of {set(e)!r} present")
-            chosen.add(e)
-        if chosen != host:
-            missing = next(iter(host - chosen))
-            raise GraphError(f"edge {set(missing)!r} left unoriented")
 
 
 def _strong_violations_bipartite(g: ColoredBipartiteGraph) -> list[Violation]:
@@ -215,35 +160,38 @@ def _strong_violations_bipartite(g: ColoredBipartiteGraph) -> list[Violation]:
 
 
 def _strong_violations_general(g: ColoredGraph) -> list[Violation]:
-    by_color: dict[Label, list[frozenset[Label]]] = {}
+    # Endpoints, edges and colors are ordered by repr, never by frozenset
+    # iteration, so the witnesses do not depend on string hashing.
+    by_color: dict[Label, list[tuple[Label, Label]]] = {}
     for e, s in g.colored_edges:
-        by_color.setdefault(s, []).append(e)
+        by_color.setdefault(s, []).append(tuple(sorted(e, key=repr)))
     edge_set = {e for e, _ in g.colored_edges}
     violations: list[Violation] = []
-    for s, edges in by_color.items():
-        edges.sort(key=repr)
+    for s in sorted(by_color, key=repr):
+        edges = sorted(by_color[s], key=repr)
         for i in range(len(edges)):
             for j in range(i + 1, len(edges)):
                 e1, e2 = edges[i], edges[j]
-                if e1 & e2:
+                shared = [x for x in e1 if x in e2]
+                if shared:
                     violations.append(
                         Violation(
                             "shared-vertex",
-                            ((tuple(e1), s), (tuple(e2), s)),
-                            f"same-colored edges meet at {next(iter(e1 & e2))!r}",
+                            ((e1, s), (e2, s)),
+                            f"same-colored edges meet at {shared[0]!r}",
                         )
                     )
                     continue
                 link = next(
-                    (frozenset((x, y)) for x in e1 for y in e2 if frozenset((x, y)) in edge_set),
+                    ((x, y) for x in e1 for y in e2 if frozenset((x, y)) in edge_set),
                     None,
                 )
                 if link is not None:
                     violations.append(
                         Violation(
                             "linked-edges",
-                            ((tuple(e1), s), (tuple(e2), s)),
-                            f"edge {tuple(link)!r} joins two edges of color {s!r}",
+                            ((e1, s), (e2, s)),
+                            f"edge {tuple(sorted(link, key=repr))!r} joins two edges of color {s!r}",
                         )
                     )
     return violations
@@ -372,17 +320,6 @@ def two_coloring(g: ColoredGraph) -> Optional[dict[Label, int]]:
     return side
 
 
-def cycle(m: int) -> Graph:
-    """The cycle on vertices 1..m in traversal order."""
-    if m < 3:
-        raise GraphError("a cycle needs at least 3 vertices")
-    vertices = tuple(range(1, m + 1))
-    edges = frozenset(
-        frozenset({vertices[i], vertices[(i + 1) % m]}) for i in range(m)
-    )
-    return Graph(vertices, edges)
-
-
 def cycle_vertex_coloring(m: int) -> VertexColoring:
     """Parity 2-coloring for even m; the 3-coloring {a, b, c} for m = 3."""
     if m == 3:
@@ -401,11 +338,6 @@ def cycle_strong_coloring(m: int) -> ColoredGraph:
         (frozenset({vertices[i], vertices[(i + 1) % m]}), (i % 3) + 1) for i in range(m)
     )
     return ColoredGraph(vertices, edges)
-
-
-def primed(color: Label) -> str:
-    """Fresh color label for the opposing orientation, e.g. 2 -> \"2'\"."""
-    return f"{color}'"
 
 
 def opposing_orientations(c: ColoredGraph) -> tuple[Orientation, Orientation]:
@@ -429,5 +361,5 @@ def opposing_orientations(c: ColoredGraph) -> tuple[Orientation, Orientation]:
         x, y = order[i], order[(i + 1) % m]
         s = color_of[ring[(i + 1) % m]]
         forward.append(((x, y), s))
-        backward.append(((y, x), primed(s)))
+        backward.append(((y, x), f"{s}'"))
     return Orientation(frozenset(forward)), Orientation(frozenset(backward))

@@ -119,10 +119,15 @@ class BroadcastLog:
         return len(self.slots)
 
 
-def _check_demand(p: PdaArray, lib: FileLibrary, demand: Sequence[int]) -> tuple[int, ...]:
+def _check_length(p: PdaArray, demand: Sequence[int]) -> tuple[int, ...]:
     d = tuple(demand)
     if len(d) != p.K:
         raise SchemeError(f"demand must list {p.K} files, got {len(d)}")
+    return d
+
+
+def _check_demand(p: PdaArray, lib: FileLibrary, demand: Sequence[int]) -> tuple[int, ...]:
+    d = _check_length(p, demand)
     for k, want in enumerate(d, start=1):
         if not 1 <= want <= lib.n_files:
             raise SchemeError(f"user {k} demands file {want}, library has 1..{lib.n_files}")
@@ -176,7 +181,7 @@ def decode(
     contributors' packets out of slot s; those packets are cached whenever the
     array satisfies condition C, otherwise DecodingError identifies the gap.
     """
-    d = tuple(demand)
+    d = _check_length(p, demand)
     out = []
     for k in range(1, p.K + 1):
         want = d[k - 1]

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from pdakit.analytics import (
     CSV_HEADER,
+    TABLE_NAMES,
     ParameterError,
     binary_entropy,
     binomial,
@@ -276,3 +278,11 @@ def test_render_csv_estimates_behind_flag():
     text = render_csv(table_report("V"), include_estimates=True)
     assert text.splitlines()[0] == CSV_HEADER + ",f_estimate"
     assert "18542.9" in text
+
+
+@pytest.mark.parametrize("estimates", [False, True], ids=["exact", "estimate"])
+@pytest.mark.parametrize("name", TABLE_NAMES)
+def test_render_csv_matches_golden_bytes(name, estimates):
+    suffix = "_estimate" if estimates else ""
+    golden = Path(__file__).parent / "golden" / f"table_{name}{suffix}.csv"
+    assert render_csv(table_report(name), include_estimates=estimates).encode() == golden.read_bytes()

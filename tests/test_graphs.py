@@ -1,22 +1,25 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdakit
 from pdakit.core import PdaArray, validate
 from pdakit.graphs import (
     ColoredBipartiteGraph,
     ColoredGraph,
-    Graph,
     GraphError,
     NonConstantDegreeError,
     NotStrongError,
     as_general_graph,
     coloring_to_pda,
-    cycle,
     cycle_strong_coloring,
     cycle_vertex_coloring,
     is_strong_coloring,
@@ -170,23 +173,24 @@ def test_cross_oracle_agreement_random(seed):
 
 
 def test_cycle_structure():
-    g = cycle(5)
-    assert g.vertices == (1, 2, 3, 4, 5)
-    assert frozenset({5, 1}) in g.edges and len(g.edges) == 5
+    ec = cycle_strong_coloring(6)
+    assert ec.vertices == (1, 2, 3, 4, 5, 6)
+    edges = {e for e, _ in ec.colored_edges}
+    assert frozenset({6, 1}) in edges and len(edges) == 6
     with pytest.raises(GraphError):
-        cycle(2)
+        cycle_strong_coloring(2)
 
 
 def test_cycle_vertex_coloring_three():
-    vc = cycle_vertex_coloring(3)
-    assert vc.as_dict() == {1: "a", 2: "b", 3: "c"}
-    vc.check_on(cycle(3))
+    colors = cycle_vertex_coloring(3).as_dict()
+    assert colors == {1: "a", 2: "b", 3: "c"}
+    assert all(len({colors[v] for v in e}) == 2 for e, _ in cycle_strong_coloring(3).colored_edges)
 
 
 def test_cycle_vertex_coloring_even_parity():
-    vc = cycle_vertex_coloring(6)
-    assert set(vc.as_dict().values()) == {"a", "b"}
-    vc.check_on(cycle(6))
+    colors = cycle_vertex_coloring(6).as_dict()
+    assert set(colors.values()) == {"a", "b"}
+    assert all(len({colors[v] for v in e}) == 2 for e, _ in cycle_strong_coloring(6).colored_edges)
     with pytest.raises(GraphError):
         cycle_vertex_coloring(5)
 
@@ -227,23 +231,23 @@ def test_opposing_orientations_match_published_example():
 def test_opposing_orientation_invariants(m):
     ec = cycle_strong_coloring(m)
     fwd, bwd = opposing_orientations(ec)
-    fwd.check_on(ec)
-    bwd.check_on(ec)
-    assert fwd.support() == bwd.support() == frozenset(e for e, _ in ec.colored_edges)
+    ring = {e for e, _ in ec.colored_edges}
+    for orientation in (fwd, bwd):
+        covered = [frozenset(pair) for pair, _ in orientation.directed]
+        assert len(covered) == len(ring) and set(covered) == ring
     assert not (fwd.colors & bwd.colors)
-    assert frozenset(pair for pair, _ in bwd.directed) == fwd.reversed_support()
+    assert {pair for pair, _ in bwd.directed} == {(y, x) for (x, y), _ in fwd.directed}
     # six directed colors in total once both copies are counted
     assert len(fwd.colors | bwd.colors) == 6
 
 
-def test_orientation_check_catches_double_direction():
-    ec = cycle_strong_coloring(3)
-    fwd, _ = opposing_orientations(ec)
-    from pdakit.graphs import Orientation
-
-    doubled = Orientation(fwd.directed | {((2, 1), 2)})
-    with pytest.raises(GraphError):
-        doubled.check_on(ec)
+def test_opposing_orientations_reject_a_non_cycle():
+    ec = cycle_strong_coloring(6)
+    path = ColoredGraph(ec.vertices, frozenset(ce for ce in ec.colored_edges if ce[0] != {6, 1}))
+    chord = ColoredGraph(ec.vertices, ec.colored_edges | {(frozenset({1, 4}), 1)})
+    for graph in (path, chord):
+        with pytest.raises(GraphError):
+            opposing_orientations(graph)
 
 
 def test_two_coloring_and_split():
@@ -271,4 +275,23 @@ def test_graph_construction_errors():
     with pytest.raises(GraphError):
         ColoredBipartiteGraph((1,), ("x",), frozenset({(1, "z", 1)}))
     with pytest.raises(GraphError):
-        Graph(("a", "b"), frozenset({frozenset({"a", "c"})}))
+        ColoredGraph(("a", "b"), frozenset({(frozenset({"a", "c"}), 1)}))
+
+
+def test_general_strong_witnesses_do_not_depend_on_hash_seed():
+    script = (
+        "from pdakit.graphs import ColoredGraph, is_strong_coloring\n"
+        "v = 'abcde'\n"
+        "path = frozenset((frozenset(v[i:i + 2]), 1) for i in range(4))\n"
+        "print(is_strong_coloring(ColoredGraph(tuple(v), path)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pdakit.__file__).resolve().parents[1])}
+    reports = [
+        subprocess.run(
+            [sys.executable, "-c", script], env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0].count("condition") == 5

@@ -184,6 +184,14 @@ def test_divisibility_and_demand_errors(example1):
         deliver(example1, lib, (1, 1, 1, 3))
 
 
+@pytest.mark.parametrize("demand", [(1,), (1, 1, 1, 1, 1)], ids=["short", "long"])
+def test_decode_rejects_demand_of_wrong_length(example1, demand):
+    lib = FileLibrary.for_array(example1, 2, seed=0)
+    log = deliver(example1, lib, (1, 2, 1, 2))
+    with pytest.raises(SchemeError, match="demand must list 4 files"):
+        decode(example1, place(example1, lib), log, demand)
+
+
 def test_library_construction_errors():
     with pytest.raises(SchemeError):
         FileLibrary(files=())
