@@ -1,7 +1,7 @@
 """Command-line front end: build, validate, combine, simulate, and report.
 
-Exit codes: 0 success, 1 validation failure (including unreadable or
-incompatible array files), 2 usage error, 3 internal invariant breach.
+Exit codes: 0 success, 1 invalid, unreadable or incompatible array file,
+2 usage error or unwritable output path, 3 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -36,12 +36,15 @@ class UsageError(Exception):
 def _load(path: str) -> PdaArray:
     try:
         return read_pda(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PdaError(f"cannot read {path}: {exc}") from exc
 
 
-def _save(path: str, p: PdaArray) -> None:
-    Path(path).write_text(write_pda(p))
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_build(args) -> int:
@@ -49,7 +52,7 @@ def _cmd_build(args) -> int:
         family=args.family, n=args.n, a=args.a, b=args.b, t=args.t, m=args.m
     )
     p = spec.build_pda()
-    _save(args.output, p)
+    _write(args.output, write_pda(p))
     print(f"wrote {args.output}: {params(p)}")
     return EXIT_OK
 
@@ -140,7 +143,7 @@ def _cmd_combine(args) -> int:
         claim = combinators.same_colors_claimed_params(arrays[0], arrays[1])
         flags = "agrees" if claim == (measured.K, measured.F, measured.Z, measured.S) else "DIVERGES from measured"
         print(f"published parameter claim (K,F,Z,S)={claim} {flags}")
-    _save(args.output, p)
+    _write(args.output, write_pda(p))
     print(f"wrote {args.output}: {measured}")
     return EXIT_OK
 
@@ -149,7 +152,7 @@ def _cmd_table(args) -> int:
     rows = analytics.table_report(args.which)
     text = analytics.render_csv(rows, include_estimates=args.estimate)
     if args.output:
-        Path(args.output).write_text(text)
+        _write(args.output, text)
         print(f"wrote {args.output}")
     else:
         print(text, end="")

@@ -21,22 +21,15 @@ from .graphs import (
     ColoredBipartiteGraph,
     ColoredGraph,
     Label,
-    NotStrongError,
+    _require_strong,
     cycle_strong_coloring,
     cycle_vertex_coloring,
-    is_strong_coloring,
     opposing_orientations,
     two_coloring,
 )
 
 class CombineError(ValueError):
     """Inputs rejected by a composition operator."""
-
-
-def _require_strong(g: ColoredBipartiteGraph | ColoredGraph) -> None:
-    report = is_strong_coloring(g)
-    if not report.is_valid:
-        raise NotStrongError(report)
 
 
 def combine_same_colors(

@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 # A grid entry: None encodes the star symbol, integers >= 1 are colors.
@@ -160,9 +161,9 @@ class PdaArray:
         """Column count (users)."""
         return len(self.grid[0])
 
-    @property
+    @cached_property
     def S(self) -> int:
-        """Number of distinct colors present."""
+        """Number of distinct colors present, counted on first access."""
         return len({e for row in self.grid for e in row if e is not None})
 
     def column(self, k: int) -> tuple[Entry, ...]:

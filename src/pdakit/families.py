@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .combinators import combine_same_colors
 from .core import PdaArray
 from .graphs import ColoredBipartiteGraph, coloring_to_pda
 
@@ -71,6 +70,10 @@ def restricted_combined_family(n: int, a: int, b: int, t: int) -> PdaArray:
 
         K = C(n, a+t) * C(a+t, a)      F = C(n, b-t)
         Z = F - C(n-a-t, b-t)          S = C(n, a+b) * C(a+b, b)
+
+    Built directly from the rule the two steps reduce to (checked against them
+    by test_restricted_combined_equals_combine_then_restrict): row Y meets
+    column (A, A') iff Y and A are disjoint, colored (U, U minus A'), U = A u Y.
     """
     if a < 1 or b < 1 or a + b > n:
         raise FamilyParameterError(f"need a, b >= 1 and a + b <= n, got n={n} a={a} b={b}")
@@ -78,16 +81,15 @@ def restricted_combined_family(n: int, a: int, b: int, t: int) -> PdaArray:
         raise FamilyParameterError(f"need 0 <= t < b, got t={t} b={b}")
     if a + t > n:
         raise FamilyParameterError(f"need a + t <= n, got a={a} t={t} n={n}")
-    g1 = disjoint_union_coloring(n, a + t, b - t)
-    g2 = disjoint_union_coloring(n, a, b)
-    combined = combine_same_colors(g1, g2)
-    kept = tuple(
-        pair for pair in combined.right if set(pair[1]) <= set(pair[0])
-    )
-    kept_set = set(kept)
-    triples = frozenset(tr for tr in combined.triples if tr[1] in kept_set)
-    restricted = ColoredBipartiteGraph(combined.left, kept, triples)
-    return coloring_to_pda(restricted)
+    rows = subsets(n, b - t)
+    cols = tuple((A, A2) for A in subsets(n, a + t) for A2 in combinations(A, a))
+    triples = []
+    for A in subsets(n, a + t):
+        for Y in combinations([x for x in range(1, n + 1) if x not in A], b - t):
+            U = tuple(sorted(A + Y))
+            triples.extend((Y, (A, A2), (U, tuple(x for x in U if x not in A2)))
+                           for A2 in combinations(A, a))
+    return coloring_to_pda(ColoredBipartiteGraph(rows, cols, frozenset(triples)))
 
 
 def trivial_pda() -> PdaArray:

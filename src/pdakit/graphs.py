@@ -43,6 +43,12 @@ class NotStrongError(GraphError):
         self.report = report
 
 
+def _require_strong(g: ColoredBipartiteGraph | ColoredGraph) -> None:
+    report = is_strong_coloring(g)
+    if not report.is_valid:
+        raise NotStrongError(report)
+
+
 @dataclass(frozen=True)
 class ColoredBipartiteGraph:
     """Triple system over an ordered row side and column side.
@@ -239,9 +245,7 @@ def coloring_to_pda(g: ColoredBipartiteGraph) -> PdaArray:
         for v, d in items[1:]:
             if d != base_d:
                 raise NonConstantDegreeError(base_v, base_d, v, d)
-    report = is_strong_coloring(g)
-    if not report.is_valid:
-        raise NotStrongError(report)
+    _require_strong(g)
 
     colors = g.colors
     already_dense = colors == frozenset(range(1, len(colors) + 1))

@@ -158,17 +158,14 @@ def deliver(p: PdaArray, lib: FileLibrary, demand: Sequence[int]) -> BroadcastLo
     """One slot per color: XOR of packets (demand[k], j) over cells (j, k) of that color."""
     size = _packet_size(p, lib)
     d = _check_demand(p, lib, demand)
-    by_color: dict[int, list[tuple[int, int]]] = {s: [] for s in range(1, p.S + 1)}
-    for j0, row in enumerate(p.grid):
-        for k0, e in enumerate(row):
-            if e is not None:
-                by_color[e].append((j0 + 1, k0 + 1))
+    classes = p.entries_by_color()
     slots = []
-    for s in range(1, p.S + 1):
+    for s in sorted(classes):
+        senders = tuple((j0 + 1, k0 + 1) for j0, k0 in classes[s])
         payload = bytes(size)
-        for j, k in by_color[s]:
+        for j, k in senders:
             payload = _xor(payload, lib.packet(d[k - 1], j, p.F))
-        slots.append(Slot(color=s, payload=payload, senders=tuple(by_color[s])))
+        slots.append(Slot(color=s, payload=payload, senders=senders))
     return BroadcastLog(tuple(slots))
 
 

@@ -61,6 +61,34 @@ def test_validate_unreadable_file(tmp_path):
     assert main(["validate", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "params"])
+def test_binary_file_is_an_invalid_file(tmp_path, command, capsys):
+    binary = tmp_path / "binary.pda"
+    binary.write_bytes(b"\xff\xfe\x00\x81pda v1\n")
+    assert main([command, str(binary)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--family", "trivial", "-o"],
+        ["table", "III", "-o"],
+    ],
+    ids=["build", "table"],
+)
+def test_unwritable_output_is_a_usage_error(tmp_path, argv, capsys):
+    target = tmp_path / "missing-dir" / "out"
+    assert main([*argv, str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target}")
+    assert main([*argv, str(tmp_path)]) == 2  # a directory, not a file
+
+
+def test_combine_to_unwritable_output_is_a_usage_error(tmp_path, ex1_file):
+    target = tmp_path / "missing-dir" / "out.pda"
+    assert main(["combine", "--mode", "star", ex1_file, ex1_file, "-o", str(target)]) == 2
+
+
 def test_params_prints_exact_rationals(ex1_file, capsys):
     assert main(["params", ex1_file]) == 0
     out = capsys.readouterr().out

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from pdakit.combinators import combine_same_colors
 from pdakit.core import EquivalenceResult, equivalent, params, validate
 from pdakit.families import (
     FamilyParameterError,
@@ -16,7 +17,7 @@ from pdakit.families import (
     subsets,
     trivial_pda,
 )
-from pdakit.graphs import coloring_to_pda, is_strong_coloring
+from pdakit.graphs import ColoredBipartiteGraph, coloring_to_pda, is_strong_coloring
 
 
 def test_subsets_are_lexicographic():
@@ -141,6 +142,34 @@ def test_restricted_combined_10_1_5_1():
 def test_restricted_combined_degenerate_t0():
     p = restricted_combined_family(5, 1, 2, 0)
     assert validate(p).is_valid
+
+
+def _combine_then_restrict(n, a, b, t):
+    """The two-step construction: combine two disjoint-union colorings that
+    share their union colors, then keep the nested column pairs (A, A')."""
+    combined = combine_same_colors(
+        disjoint_union_coloring(n, a + t, b - t), disjoint_union_coloring(n, a, b)
+    )
+    kept = tuple(pair for pair in combined.right if set(pair[1]) <= set(pair[0]))
+    kept_set = set(kept)
+    triples = frozenset(tr for tr in combined.triples if tr[1] in kept_set)
+    return coloring_to_pda(ColoredBipartiteGraph(combined.left, kept, triples))
+
+
+def test_restricted_combined_equals_combine_then_restrict():
+    cases = [
+        (n, a, b, t)
+        for n in range(2, 8)
+        for a in range(1, n)
+        for b in range(1, n - a + 1)
+        for t in range(b)
+    ]
+    assert len(cases) == 126
+    for n, a, b, t in cases:
+        direct = restricted_combined_family(n, a, b, t)
+        reference = _combine_then_restrict(n, a, b, t)
+        assert direct.grid == reference.grid, (n, a, b, t)
+        assert direct.legend == reference.legend, (n, a, b, t)
 
 
 def test_restricted_combined_rejects_bad_ranges():
