@@ -169,8 +169,13 @@ class PdaArray:
     def column(self, k: int) -> tuple[Entry, ...]:
         return tuple(row[k] for row in self.grid)
 
+    @cached_property
+    def _star_counts(self) -> tuple[int, ...]:
+        """Stars per column, counted in one pass over the grid on first access."""
+        return tuple(column.count(None) for column in zip(*self.grid))
+
     def star_count(self, k: int) -> int:
-        return sum(1 for row in self.grid if row[k] is None)
+        return self._star_counts[k]
 
     def entries_by_color(self) -> dict[int, list[tuple[int, int]]]:
         """Map color -> 0-based (row, col) positions, in row-major order."""
@@ -407,10 +412,7 @@ def write_pda(p: PdaArray) -> str:
     conversion assigns them in first-appearance row-major order.
     """
     header = f"K={p.K} F={p.F} Z={p.star_count(0)} S={p.S}"
-    body = "\n".join(
-        " ".join(STAR_TOKEN if e is None else str(e) for e in row) for row in p.grid
-    )
-    return f"pda v1\n{header}\n{body}\n"
+    return f"pda v1\n{header}\n{p}\n"
 
 
 def read_pda(text: str) -> PdaArray:

@@ -6,6 +6,12 @@ F x K array is a valid PDA exactly when its colored bipartite graph is
 strongly colored and the column-side vertices all have the same degree, which
 makes the checker here a second, independent oracle for the grid validator.
 
+Edges are always visited in the declared order of the vertices: a bipartite
+graph's edges row-major over its ``left`` and ``right`` sides, a general
+graph's by the positions of their endpoints in ``vertices``.  Strength
+witnesses, the degree witness and the array built from a coloring all follow
+that order, so none of them depends on set iteration or string hashing.
+
 Also houses the cycle machinery used by the strong-like product: cycles with
 proper vertex colorings, 3-color strong edge colorings, and pairs of opposing
 orientations carrying disjoint color sets.
@@ -14,6 +20,7 @@ orientations carrying disjoint color sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Optional
 
 from .core import Entry, PdaArray, ValidationReport, Violation
@@ -55,7 +62,8 @@ class ColoredBipartiteGraph:
 
     ``triples`` holds (row-vertex, column-vertex, color).  At most one triple
     per vertex pair; every color is declared by appearing in a triple.  The
-    side lists fix row/column order when converting to a PDA.
+    side lists fix the row/column order of the PDA and the order in which
+    every scan here visits the edges.
     """
 
     left: tuple[Label, ...]
@@ -78,14 +86,19 @@ class ColoredBipartiteGraph:
     def colors(self) -> frozenset[Label]:
         return frozenset(s for _, _, s in self.triples)
 
-    def color_of(self) -> dict[tuple[Label, Label], Label]:
-        return {(l, r): s for l, r, s in self.triples}
+    @cached_property
+    def _edges(self) -> list[tuple[int, int, Label]]:
+        """(row index, column index, color) of every triple, in row-major order."""
+        row = {l: j for j, l in enumerate(self.left)}
+        col = {r: k for k, r in enumerate(self.right)}
+        # (row, column) pairs are unique, so sorting never compares colors.
+        return sorted((row[l], col[r], s) for l, r, s in self.triples)
 
     def right_degrees(self) -> dict[Label, int]:
-        deg = {r: 0 for r in self.right}
-        for _, r, _ in self.triples:
-            deg[r] += 1
-        return deg
+        deg = [0] * len(self.right)
+        for _, k, _ in self._edges:
+            deg[k] += 1
+        return dict(zip(self.right, deg))
 
 
 @dataclass(frozen=True)
@@ -134,47 +147,38 @@ class Orientation:
 
 
 def _strong_violations_bipartite(g: ColoredBipartiteGraph) -> list[Violation]:
-    by_color: dict[Label, list[tuple[Label, Label]]] = {}
-    for l, r, s in g.triples:
-        by_color.setdefault(s, []).append((l, r))
-    edge_set = {(l, r) for l, r, _ in g.triples}
+    by_color: dict[Label, list[tuple[int, int]]] = {}
+    for j, k, s in g._edges:
+        by_color.setdefault(s, []).append((j, k))
+    edge_set = {(j, k) for j, k, _ in g._edges}
+    left, right = g.left, g.right
     violations: list[Violation] = []
     for s, edges in by_color.items():
-        edges.sort(key=repr)
-        for i in range(len(edges)):
-            l1, r1 = edges[i]
-            for j in range(i + 1, len(edges)):
-                l2, r2 = edges[j]
-                if l1 == l2 or r1 == r2:
-                    violations.append(
-                        Violation(
-                            "shared-vertex",
-                            ((l1, r1, s), (l2, r2, s)),
-                            f"same-colored edges meet at {(l1 if l1 == l2 else r1)!r}",
-                        )
-                    )
-                elif (l1, r2) in edge_set or (l2, r1) in edge_set:
-                    link = (l1, r2) if (l1, r2) in edge_set else (l2, r1)
-                    violations.append(
-                        Violation(
-                            "linked-edges",
-                            ((l1, r1, s), (l2, r2, s)),
-                            f"edge {link!r} joins two edges of color {s!r}",
-                        )
-                    )
+        for i, (j1, k1) in enumerate(edges):
+            for j2, k2 in edges[i + 1:]:
+                if j1 == j2 or k1 == k2:
+                    kind = "shared-vertex"
+                    detail = f"same-colored edges meet at {(left[j1] if j1 == j2 else right[k1])!r}"
+                elif (j1, k2) in edge_set or (j2, k1) in edge_set:
+                    link = (left[j1], right[k2]) if (j1, k2) in edge_set else (left[j2], right[k1])
+                    kind = "linked-edges"
+                    detail = f"edge {link!r} joins two edges of color {s!r}"
+                else:
+                    continue
+                witness = ((left[j1], right[k1], s), (left[j2], right[k2], s))
+                violations.append(Violation(kind, witness, detail))
     return violations
 
 
 def _strong_violations_general(g: ColoredGraph) -> list[Violation]:
-    # Endpoints, edges and colors are ordered by repr, never by frozenset
-    # iteration, so the witnesses do not depend on string hashing.
+    pos = {v: i for i, v in enumerate(g.vertices)}
     by_color: dict[Label, list[tuple[Label, Label]]] = {}
-    for e, s in g.colored_edges:
-        by_color.setdefault(s, []).append(tuple(sorted(e, key=repr)))
+    # Endpoint positions are unique per edge, so sorting never compares colors.
+    for i, j, s in sorted((*sorted(pos[v] for v in e), s) for e, s in g.colored_edges):
+        by_color.setdefault(s, []).append((g.vertices[i], g.vertices[j]))
     edge_set = {e for e, _ in g.colored_edges}
     violations: list[Violation] = []
-    for s in sorted(by_color, key=repr):
-        edges = sorted(by_color[s], key=repr)
+    for s, edges in by_color.items():
         for i in range(len(edges)):
             for j in range(i + 1, len(edges)):
                 e1, e2 = edges[i], edges[j]
@@ -197,7 +201,7 @@ def _strong_violations_general(g: ColoredGraph) -> list[Violation]:
                         Violation(
                             "linked-edges",
                             ((e1, s), (e2, s)),
-                            f"edge {tuple(sorted(link, key=repr))!r} joins two edges of color {s!r}",
+                            f"edge {tuple(sorted(link, key=pos.__getitem__))!r} joins two edges of color {s!r}",
                         )
                     )
     return violations
@@ -208,7 +212,10 @@ def is_strong_coloring(g: ColoredBipartiteGraph | ColoredGraph) -> ValidationRep
 
     Two edges of one color violate strength when they share a vertex or when
     some edge of the graph connects an endpoint of one to an endpoint of the
-    other.
+    other.  Witnesses come out in declared order: colors by their first edge,
+    and within a color the pairs of edges in edge order, where edges are
+    ordered row-major over a bipartite graph's sides and by endpoint position
+    in a general graph's ``vertices``.
     """
     if isinstance(g, ColoredBipartiteGraph):
         return ValidationReport(tuple(_strong_violations_bipartite(g)))
@@ -236,38 +243,24 @@ def coloring_to_pda(g: ColoredBipartiteGraph) -> PdaArray:
     result's ``legend``; colors that already are the integers 1..S pass
     through unchanged, so converting an array's own coloring back is the
     identity.  Rejects non-constant column degrees and non-strong colorings,
-    naming the witness.
+    naming the witness; the degree witness is the first column and the first
+    column whose degree differs from it, in declared order.
     """
-    degrees = g.right_degrees()
-    if degrees:
-        items = sorted(degrees.items(), key=lambda kv: repr(kv[0]))
-        base_v, base_d = items[0]
-        for v, d in items[1:]:
-            if d != base_d:
-                raise NonConstantDegreeError(base_v, base_d, v, d)
+    degrees = list(g.right_degrees().items())
+    for v, d in degrees[1:]:
+        if d != degrees[0][1]:
+            raise NonConstantDegreeError(*degrees[0], v, d)
     _require_strong(g)
 
     colors = g.colors
     already_dense = colors == frozenset(range(1, len(colors) + 1))
 
-    color_at = g.color_of()
     relabel: dict[Label, int] = {}
-    grid: list[tuple[Entry, ...]] = []
-    for l in g.left:
-        row: list[Entry] = []
-        for r in g.right:
-            s = color_at.get((l, r))
-            if s is None:
-                row.append(None)
-            elif already_dense:
-                row.append(s)
-            else:
-                if s not in relabel:
-                    relabel[s] = len(relabel) + 1
-                row.append(relabel[s])
-        grid.append(tuple(row))
+    grid: list[list[Entry]] = [[None] * len(g.right) for _ in g.left]
+    for j, k, s in g._edges:
+        grid[j][k] = s if already_dense else relabel.setdefault(s, len(relabel) + 1)
     legend = None if already_dense else {dense: original for original, dense in relabel.items()}
-    return PdaArray(tuple(grid), legend=legend)
+    return PdaArray(tuple(map(tuple, grid)), legend=legend)
 
 
 def as_general_graph(g: ColoredBipartiteGraph) -> ColoredGraph:
@@ -358,12 +351,12 @@ def opposing_orientations(c: ColoredGraph) -> tuple[Orientation, Orientation]:
     host = {e for e, _ in c.colored_edges}
     if m < 3 or set(ring) != host or len(host) != m:
         raise GraphError("opposing orientations are defined here for cycles in vertex order")
-    color_of = {e: s for e, s in c.colored_edges}
+    color_at = {e: s for e, s in c.colored_edges}
     forward = []
     backward = []
     for i in range(m):
         x, y = order[i], order[(i + 1) % m]
-        s = color_of[ring[(i + 1) % m]]
+        s = color_at[ring[(i + 1) % m]]
         forward.append(((x, y), s))
         backward.append(((y, x), f"{s}'"))
     return Orientation(frozenset(forward)), Orientation(frozenset(backward))

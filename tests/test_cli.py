@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from pdakit import cli, core
 from pdakit.cli import main
 from pdakit.core import params, read_pda, validate, write_pda
 
@@ -165,6 +166,20 @@ def test_simulate_rejects_invalid_array(tmp_path):
     broken = tmp_path / "broken.pda"
     broken.write_text(BROKEN_TEXT)
     assert main(["simulate", str(broken), "--files", "2"]) == 1
+
+
+def test_simulate_checks_its_array_once(ex1_file, monkeypatch):
+    scans = []
+    real_validate = core.validate
+
+    def counting_validate(p):
+        scans.append(p)
+        return real_validate(p)
+
+    monkeypatch.setattr(core, "validate", counting_validate)
+    monkeypatch.setattr(cli, "validate", counting_validate)
+    assert main(["simulate", ex1_file, "--files", "2", "--demand", "1,2,2,1"]) == 0
+    assert len(scans) == 1
 
 
 def test_simulate_usage_errors(ex1_file):

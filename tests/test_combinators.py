@@ -238,7 +238,7 @@ def test_legends_are_total_and_invertible(strip):
     assert set(p.legend) == set(range(1, p.S + 1))
     assert len(set(p.legend.values())) == p.S
     # the legend inverts the densification: cells map back to the graph colors
-    color_at = combined.color_of()
+    color_at = {(l, r): s for l, r, s in combined.triples}
     for row_label, col_label, graph_color in combined.triples:
         j = combined.left.index(row_label)
         k = combined.right.index(col_label)

@@ -76,6 +76,15 @@ def test_condition_a_reports_unbalanced_columns():
     assert "column 2" in report.violations[0].detail
 
 
+def test_star_counts_match_a_per_column_scan():
+    rng = random.Random(7)
+    for _ in range(50):
+        F, K = rng.randint(1, 6), rng.randint(1, 6)
+        p = PdaArray.from_rows([[rng.choice([None, 1]) for _ in range(K)] for _ in range(F)])
+        per_column = [sum(1 for row in p.grid if row[k] is None) for k in range(K)]
+        assert [p.star_count(k) for k in range(K)] == per_column
+
+
 def test_params_example1(example1):
     pr = params(example1)
     assert (pr.K, pr.F, pr.Z, pr.S) == (4, 4, 2, 4)

@@ -278,12 +278,28 @@ def test_graph_construction_errors():
         ColoredGraph(("a", "b"), frozenset({(frozenset({"a", "c"}), 1)}))
 
 
-def test_general_strong_witnesses_do_not_depend_on_hash_seed():
+BIPARTITE_THREE_COLORS = (
+    "ColoredBipartiteGraph(('u', 'v', 'w'), ('x', 'y', 'z'), frozenset({"
+    "('u', 'x', 'red'), ('u', 'y', 'red'), ('v', 'y', 'blue'), ('v', 'z', 'blue'),"
+    " ('w', 'x', 'green'), ('w', 'z', 'green')}))"
+)
+
+
+@pytest.mark.parametrize(
+    "graph, violations",
+    [
+        pytest.param(
+            "ColoredGraph(tuple('abcde'), frozenset((frozenset('abcde'[i:i + 2]), 1) for i in range(4)))",
+            5,
+            id="path",
+        ),
+        pytest.param(BIPARTITE_THREE_COLORS, 3, id="bipartite"),
+    ],
+)
+def test_general_strong_witnesses_do_not_depend_on_hash_seed(graph, violations):
     script = (
-        "from pdakit.graphs import ColoredGraph, is_strong_coloring\n"
-        "v = 'abcde'\n"
-        "path = frozenset((frozenset(v[i:i + 2]), 1) for i in range(4))\n"
-        "print(is_strong_coloring(ColoredGraph(tuple(v), path)))\n"
+        "from pdakit.graphs import ColoredBipartiteGraph, ColoredGraph, is_strong_coloring\n"
+        f"print(is_strong_coloring({graph}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(pdakit.__file__).resolve().parents[1])}
     reports = [
@@ -291,7 +307,29 @@ def test_general_strong_witnesses_do_not_depend_on_hash_seed():
             [sys.executable, "-c", script], env={**env, "PYTHONHASHSEED": seed},
             capture_output=True, text=True, check=True,
         ).stdout
-        for seed in ("1", "2")
+        for seed in ("1", "3", "5")
     ]
-    assert reports[0] == reports[1]
-    assert reports[0].count("condition") == 5
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].count("condition") == violations
+
+
+def test_bipartite_strong_witnesses_come_out_row_major():
+    g = ColoredBipartiteGraph(
+        left=("w", "v", "u"),
+        right=("x", "y", "z"),
+        triples=frozenset({("u", "x", 2), ("u", "y", 2), ("w", "y", 1), ("w", "z", 1), ("v", "x", 3)}),
+    )
+    report = is_strong_coloring(g)
+    assert [v.cells for v in report.violations] == [
+        (("w", "y", 1), ("w", "z", 1)),
+        (("u", "x", 2), ("u", "y", 2)),
+    ]
+
+
+def test_degree_witness_follows_declared_column_order():
+    g = ColoredBipartiteGraph(
+        left=(1, 2), right=("y", "x"), triples=frozenset({(1, "y", 1), (2, "y", 2), (1, "x", 3)})
+    )
+    with pytest.raises(NonConstantDegreeError) as info:
+        coloring_to_pda(g)
+    assert info.value.witness == (("y", 2), ("x", 1))
