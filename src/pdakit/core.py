@@ -125,6 +125,8 @@ class PdaArray:
 
     grid: tuple[tuple[Entry, ...], ...]
     legend: Optional[Mapping[int, object]] = field(default=None, compare=False)
+    # Number of distinct colors present, counted by the pass that checks the grid.
+    S: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.grid or not self.grid[0]:
@@ -146,6 +148,7 @@ class PdaArray:
                 raise PdaError(f"color gap: {missing[0]} absent but {max(seen)} present")
         if self.legend is not None and set(self.legend) != seen:
             raise PdaError("legend keys must be exactly the colors present")
+        object.__setattr__(self, "S", len(seen))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Entry]], legend: Optional[Mapping[int, object]] = None) -> "PdaArray":
@@ -160,11 +163,6 @@ class PdaArray:
     def K(self) -> int:
         """Column count (users)."""
         return len(self.grid[0])
-
-    @cached_property
-    def S(self) -> int:
-        """Number of distinct colors present, counted on first access."""
-        return len({e for row in self.grid for e in row if e is not None})
 
     def column(self, k: int) -> tuple[Entry, ...]:
         return tuple(row[k] for row in self.grid)
@@ -399,8 +397,16 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
     return EquivalenceResult.EQUIVALENT if outcome else EquivalenceResult.INEQUIVALENT
 
 
-_HEADER_RE = re.compile(r"^K=(\d+) F=(\d+) Z=(\d+) S=(\d+)$")
-_INT_RE = re.compile(r"^[1-9]\d*$")
+_HEADER_RE = re.compile(r"^K=([0-9]+) F=([0-9]+) Z=([0-9]+) S=([0-9]+)$")
+_INT_RE = re.compile(r"^[1-9][0-9]*$")
+
+
+def _parse_int(digits: str, line: int, column: int) -> int:
+    """Convert a run of ASCII digits; one longer than Python converts is a format fault."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PdaFormatError(f"integer of {len(digits)} digits is too long", line, column) from None
 
 
 def write_pda(p: PdaArray) -> str:
@@ -418,8 +424,9 @@ def write_pda(p: PdaArray) -> str:
 def read_pda(text: str) -> PdaArray:
     """Parse the text format, checking the header against measured values.
 
-    Raises PdaFormatError with a 1-based line/column for the first fault:
-    bad magic, malformed header, wrong token, missing trailing newline,
+    Raises PdaFormatError with a 1-based line/column for the first fault, and
+    no other error: bad magic, malformed header, wrong token (integers are
+    ASCII digits), an integer too long to convert, missing trailing newline,
     header/measurement mismatch, or a gap in the color range.
     """
     if not text.endswith("\n"):
@@ -434,7 +441,7 @@ def read_pda(text: str) -> PdaArray:
     m = _HEADER_RE.match(lines[1])
     if not m:
         raise PdaFormatError("expected 'K=<int> F=<int> Z=<int> S=<int>'", 2, 1)
-    K, F, Z, S = (int(x) for x in m.groups())
+    K, F, Z, S = (_parse_int(m[i], 2, m.start(i) + 1) for i in range(1, 5))
     if len(lines) != 2 + F:
         raise PdaFormatError(f"expected {F} grid lines, found {len(lines) - 2}", len(lines) + 1, 1)
 
@@ -454,7 +461,7 @@ def read_pda(text: str) -> PdaArray:
             if tok == STAR_TOKEN:
                 row.append(None)
             elif _INT_RE.match(tok):
-                value = int(tok)
+                value = _parse_int(tok, lineno, pos)
                 if value > S:
                     raise PdaFormatError(f"color {value} exceeds declared S={S}", lineno, pos)
                 row.append(value)

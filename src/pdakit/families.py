@@ -79,8 +79,6 @@ def restricted_combined_family(n: int, a: int, b: int, t: int) -> PdaArray:
         raise FamilyParameterError(f"need a, b >= 1 and a + b <= n, got n={n} a={a} b={b}")
     if not (0 <= t < b):
         raise FamilyParameterError(f"need 0 <= t < b, got t={t} b={b}")
-    if a + t > n:
-        raise FamilyParameterError(f"need a + t <= n, got a={a} t={t} n={n}")
     rows = subsets(n, b - t)
     cols = tuple((A, A2) for A in subsets(n, a + t) for A2 in combinations(A, a))
     triples = []

@@ -6,11 +6,11 @@ F x K array is a valid PDA exactly when its colored bipartite graph is
 strongly colored and the column-side vertices all have the same degree, which
 makes the checker here a second, independent oracle for the grid validator.
 
-Edges are always visited in the declared order of the vertices: a bipartite
-graph's edges row-major over its ``left`` and ``right`` sides, a general
-graph's by the positions of their endpoints in ``vertices``.  Strength
-witnesses, the degree witness and the array built from a coloring all follow
-that order, so none of them depends on set iteration or string hashing.
+Labels become positions once, at construction, and every scan here reads the
+index kept by that pass: edges in the declared order of the vertices, row-major
+over a bipartite graph's sides or by endpoint position in a general graph's
+``vertices``.  Strength witnesses, the degree witness and the array built from a
+coloring all follow that order, so none depends on set iteration or hashing.
 
 Also houses the cycle machinery used by the strong-like product: cycles with
 proper vertex colorings, 3-color strong edge colorings, and pairs of opposing
@@ -19,8 +19,7 @@ orientations carrying disjoint color sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional
 
 from .core import Entry, PdaArray, ValidationReport, Violation
@@ -56,43 +55,51 @@ def _require_strong(g: ColoredBipartiteGraph | ColoredGraph) -> None:
         raise NotStrongError(report)
 
 
+def _index(g: ColoredBipartiteGraph | ColoredGraph, colored: dict[int, Label], width: int) -> None:
+    """Store ``colored``, {first position * width + second: color}, on ``g`` as the sorted
+    (position, position, color index) ``_edges`` and the ``_palette`` of colors in order
+    of first appearance.  Keys are unique, so sorting never compares colors."""
+    palette: dict[Label, int] = {}
+    edges = [(key // width, key % width, palette.setdefault(s, len(palette))) for key, s in sorted(colored.items())]
+    object.__setattr__(g, "_edges", edges)
+    object.__setattr__(g, "_palette", tuple(palette))
+
+
 @dataclass(frozen=True)
 class ColoredBipartiteGraph:
     """Triple system over an ordered row side and column side.
 
     ``triples`` holds (row-vertex, column-vertex, color).  At most one triple
     per vertex pair; every color is declared by appearing in a triple.  The
-    side lists fix the row/column order of the PDA and the order in which
-    every scan here visits the edges.
+    side lists fix the row/column order of the PDA.  Labels become positions
+    once, in the pass that checks them at construction (see ``_index``), and
+    every scan reads that index, in row-major order, never the labels.
     """
 
     left: tuple[Label, ...]
     right: tuple[Label, ...]
     triples: frozenset[tuple[Label, Label, Label]]
+    _edges: list[tuple[int, int, int]] = field(init=False, repr=False, compare=False)
+    _palette: tuple[Label, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.left)) != len(self.left) or len(set(self.right)) != len(self.right):
+        row = {l: j for j, l in enumerate(self.left)}
+        col = {r: k for k, r in enumerate(self.right)}
+        if len(row) != len(self.left) or len(col) != len(self.right):
             raise GraphError("duplicate vertex label within a side")
-        lset, rset = set(self.left), set(self.right)
-        seen_pairs: set[tuple[Label, Label]] = set()
-        for l, r, _ in self.triples:
-            if l not in lset or r not in rset:
+        colored: dict[int, Label] = {}
+        for l, r, s in self.triples:
+            if l not in row or r not in col:
                 raise GraphError(f"triple endpoint ({l!r}, {r!r}) not among declared vertices")
-            if (l, r) in seen_pairs:
+            key = row[l] * len(col) + col[r]
+            if key in colored:
                 raise GraphError(f"pair ({l!r}, {r!r}) carries more than one color")
-            seen_pairs.add((l, r))
+            colored[key] = s
+        _index(self, colored, len(col))
 
     @property
     def colors(self) -> frozenset[Label]:
-        return frozenset(s for _, _, s in self.triples)
-
-    @cached_property
-    def _edges(self) -> list[tuple[int, int, Label]]:
-        """(row index, column index, color) of every triple, in row-major order."""
-        row = {l: j for j, l in enumerate(self.left)}
-        col = {r: k for k, r in enumerate(self.right)}
-        # (row, column) pairs are unique, so sorting never compares colors.
-        return sorted((row[l], col[r], s) for l, r, s in self.triples)
+        return frozenset(self._palette)
 
     def right_degrees(self) -> dict[Label, int]:
         deg = [0] * len(self.right)
@@ -107,22 +114,27 @@ class ColoredGraph:
 
     vertices: tuple[Label, ...]
     colored_edges: frozenset[tuple[frozenset[Label], Label]]
+    _edges: list[tuple[int, int, int]] = field(init=False, repr=False, compare=False)
+    _palette: tuple[Label, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vset = set(self.vertices)
-        seen: set[frozenset[Label]] = set()
-        for e, _ in self.colored_edges:
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        n = len(self.vertices)
+        colored: dict[int, Label] = {}
+        for e, s in self.colored_edges:
             if len(e) != 2:
                 raise GraphError(f"edge {set(e)!r} is not a 2-set (self-loops are not allowed)")
-            if not e <= vset:
+            if not e <= pos.keys():
                 raise GraphError(f"edge {set(e)!r} uses undeclared vertices")
-            if e in seen:
+            i, j = sorted(pos[v] for v in e)
+            if i * n + j in colored:
                 raise GraphError(f"edge {set(e)!r} carries more than one color")
-            seen.add(e)
+            colored[i * n + j] = s
+        _index(self, colored, n)
 
     @property
     def colors(self) -> frozenset[Label]:
-        return frozenset(s for _, s in self.colored_edges)
+        return frozenset(self._palette)
 
 
 @dataclass(frozen=True)
@@ -147,20 +159,21 @@ class Orientation:
 
 
 def _strong_violations_bipartite(g: ColoredBipartiteGraph) -> list[Violation]:
-    by_color: dict[Label, list[tuple[int, int]]] = {}
-    for j, k, s in g._edges:
-        by_color.setdefault(s, []).append((j, k))
-    edge_set = {(j, k) for j, k, _ in g._edges}
+    by_color: list[list[tuple[int, int]]] = [[] for _ in g._palette]
+    for j, k, c in g._edges:
+        by_color[c].append((j, k))
+    width = len(g.right)
+    edge_set = {j * width + k for j, k, _ in g._edges}
     left, right = g.left, g.right
     violations: list[Violation] = []
-    for s, edges in by_color.items():
+    for s, edges in zip(g._palette, by_color):
         for i, (j1, k1) in enumerate(edges):
             for j2, k2 in edges[i + 1:]:
                 if j1 == j2 or k1 == k2:
                     kind = "shared-vertex"
                     detail = f"same-colored edges meet at {(left[j1] if j1 == j2 else right[k1])!r}"
-                elif (j1, k2) in edge_set or (j2, k1) in edge_set:
-                    link = (left[j1], right[k2]) if (j1, k2) in edge_set else (left[j2], right[k1])
+                elif j1 * width + k2 in edge_set or j2 * width + k1 in edge_set:
+                    link = (left[j1], right[k2]) if j1 * width + k2 in edge_set else (left[j2], right[k1])
                     kind = "linked-edges"
                     detail = f"edge {link!r} joins two edges of color {s!r}"
                 else:
@@ -171,39 +184,26 @@ def _strong_violations_bipartite(g: ColoredBipartiteGraph) -> list[Violation]:
 
 
 def _strong_violations_general(g: ColoredGraph) -> list[Violation]:
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    by_color: dict[Label, list[tuple[Label, Label]]] = {}
-    # Endpoint positions are unique per edge, so sorting never compares colors.
-    for i, j, s in sorted((*sorted(pos[v] for v in e), s) for e, s in g.colored_edges):
-        by_color.setdefault(s, []).append((g.vertices[i], g.vertices[j]))
-    edge_set = {e for e, _ in g.colored_edges}
+    by_color: list[list[tuple[int, int]]] = [[] for _ in g._palette]
+    for i, j, c in g._edges:
+        by_color[c].append((i, j))
+    n, name = len(g.vertices), g.vertices
+    edge_set = {i * n + j for i, j, _ in g._edges}
     violations: list[Violation] = []
-    for s, edges in by_color.items():
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                e1, e2 = edges[i], edges[j]
+    for s, edges in zip(g._palette, by_color):
+        for a, e1 in enumerate(edges):
+            for e2 in edges[a + 1:]:
                 shared = [x for x in e1 if x in e2]
                 if shared:
-                    violations.append(
-                        Violation(
-                            "shared-vertex",
-                            ((e1, s), (e2, s)),
-                            f"same-colored edges meet at {shared[0]!r}",
-                        )
-                    )
+                    kind = "shared-vertex"
+                    detail = f"same-colored edges meet at {name[shared[0]]!r}"
+                elif link := next(((x, y) for x in e1 for y in e2 if min(x, y) * n + max(x, y) in edge_set), None):
+                    kind = "linked-edges"
+                    detail = f"edge {tuple(name[v] for v in sorted(link))!r} joins two edges of color {s!r}"
+                else:
                     continue
-                link = next(
-                    ((x, y) for x in e1 for y in e2 if frozenset((x, y)) in edge_set),
-                    None,
-                )
-                if link is not None:
-                    violations.append(
-                        Violation(
-                            "linked-edges",
-                            ((e1, s), (e2, s)),
-                            f"edge {tuple(sorted(link, key=pos.__getitem__))!r} joins two edges of color {s!r}",
-                        )
-                    )
+                witness = (((name[e1[0]], name[e1[1]]), s), ((name[e2[0]], name[e2[1]]), s))
+                violations.append(Violation(kind, witness, detail))
     return violations
 
 
@@ -252,14 +252,13 @@ def coloring_to_pda(g: ColoredBipartiteGraph) -> PdaArray:
             raise NonConstantDegreeError(*degrees[0], v, d)
     _require_strong(g)
 
-    colors = g.colors
-    already_dense = colors == frozenset(range(1, len(colors) + 1))
-
-    relabel: dict[Label, int] = {}
+    # Palette colors are distinct, so S of them inside 1..S are exactly 1..S.
+    dense = range(1, len(g._palette) + 1)
+    already_dense = all(s in dense for s in g._palette)
     grid: list[list[Entry]] = [[None] * len(g.right) for _ in g.left]
-    for j, k, s in g._edges:
-        grid[j][k] = s if already_dense else relabel.setdefault(s, len(relabel) + 1)
-    legend = None if already_dense else {dense: original for original, dense in relabel.items()}
+    for j, k, c in g._edges:
+        grid[j][k] = g._palette[c] if already_dense else c + 1
+    legend = None if already_dense else dict(zip(dense, g._palette))
     return PdaArray(tuple(map(tuple, grid)), legend=legend)
 
 

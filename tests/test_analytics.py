@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -25,6 +26,7 @@ from pdakit.analytics import (
 from pdakit.combinators import cycle_product, star_product
 from pdakit.core import params
 from pdakit.families import (
+    FamilyParameterError,
     disjoint_union_coloring,
     intersection_t_coloring,
     restricted_combined_family,
@@ -152,6 +154,32 @@ def test_block_code_params_validates_x_and_q():
         block_code_params(24, 6, 17, 3)  # q = 6 is not a prime power
     with pytest.raises(ParameterError):
         block_code_params(0, 2, 1, 2)
+
+
+def test_block_code_shortcut_forms_agree_with_the_g_and_s_arithmetic():
+    # 1 - M/N = (l+1)/(nq) and R = (l+1)/((q-1)n) against g/F and S/F, with
+    # g = x (q-1) q^(l-1) and S = x q^l, on the least x with (l+1) | nx.
+    for n, q, l in itertools.product(range(1, 41), (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27), range(1, 16)):
+        x = minimal_x(n, l)
+        row = block_code_params(n, q, l, x)
+        assert row.one_minus_MN == Fraction(x * (q - 1) * q ** (l - 1), row.F), (n, q, l)
+        assert row.R == Fraction(x * q**l, row.F), (n, q, l)
+
+
+def _accepts(build, error, *args) -> bool:
+    try:
+        build(*args)
+    except error:
+        return False
+    return True
+
+
+def test_restricted_family_and_its_closed_forms_accept_the_same_parameters():
+    for n in range(8):
+        for a, b, t in itertools.product(range(-1, n + 2), repeat=3):
+            built = _accepts(restricted_combined_family, FamilyParameterError, n, a, b, t)
+            priced = _accepts(restricted_family_params, ParameterError, n, a, b, t)
+            assert built == priced, (n, a, b, t)
 
 
 def test_block_code_cycle_params_published_row():

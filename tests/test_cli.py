@@ -71,6 +71,18 @@ def test_binary_file_is_an_invalid_file(tmp_path, command, capsys):
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["pda v1\nK=\u0661 F=1 Z=0 S=1\n1\n", "pda v1\nK=1 F=1 Z=0 S=1\n" + "9" * 5000 + "\n"],
+    ids=["foreign-digit", "long-integer"],
+)
+def test_validate_rejects_foreign_and_overlong_digits(tmp_path, text, capsys):
+    f = tmp_path / "digits.pda"
+    f.write_text(text, encoding="utf-8")
+    assert main(["validate", str(f)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["build", "--family", "trivial", "-o"],

@@ -83,6 +83,7 @@ def test_star_counts_match_a_per_column_scan():
         p = PdaArray.from_rows([[rng.choice([None, 1]) for _ in range(K)] for _ in range(F)])
         per_column = [sum(1 for row in p.grid if row[k] is None) for k in range(K)]
         assert [p.star_count(k) for k in range(K)] == per_column
+        assert p.S == len({e for row in p.grid for e in row if e is not None})
 
 
 def test_params_example1(example1):
@@ -235,6 +236,39 @@ def test_read_rejects_bad_magic_and_spacing():
         read_pda("pda v2\nK=1 F=1 Z=0 S=1\n1\n")
     with pytest.raises(PdaFormatError):
         read_pda("pda v1\nK=2 F=1 Z=0 S=2\n1  2\n")
+
+
+LONG = "9" * 5000  # past Python's default 4,300-digit int() limit
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        pytest.param("pda v1\nK=\u0661 F=1 Z=0 S=1\n1\n", 2, 1, id="foreign-header-digit"),
+        pytest.param("pda v1\nK=2 F=1 Z=0 S=11\n1 1\u0661\n", 3, 3, id="foreign-grid-digit"),
+        pytest.param(f"pda v1\nK=1 F=1 Z=0 S={LONG}\n1\n", 2, 15, id="long-header-integer"),
+        pytest.param(f"pda v1\nK=1 F=1 Z=0 S=1\n{LONG}\n", 3, 1, id="long-grid-integer"),
+    ],
+)
+def test_read_rejects_foreign_and_overlong_digits_at_their_position(text, line, column):
+    with pytest.raises(PdaFormatError) as info:
+        read_pda(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+PDA_TEXT_PIECES = st.sampled_from(
+    ["pda v1\n", "K=1 F=1 Z=0 S=1\n", "K=2 F=2 Z=1 S=1\n", "K=", " F=", " Z=", " S=",
+     "0", "1", "2", LONG, "\u0661", "\u00b2", "*", "x", " ", "  ", "\n", "\r\n"]
+)
+
+
+@given(st.text() | st.lists(PDA_TEXT_PIECES, max_size=30).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_read_raises_nothing_but_format_errors(text):
+    try:
+        read_pda(text)
+    except PdaFormatError:
+        pass
 
 
 def random_structural_array(rnd: random.Random) -> PdaArray:

@@ -278,6 +278,47 @@ def test_graph_construction_errors():
         ColoredGraph(("a", "b"), frozenset({(frozenset({"a", "c"}), 1)}))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: ColoredBipartiteGraph((1, 1), ("x",), frozenset()),
+            "duplicate vertex label within a side",
+            id="bipartite-duplicate-label",
+        ),
+        pytest.param(
+            lambda: ColoredBipartiteGraph((1,), ("x",), frozenset({(1, "z", 1)})),
+            "triple endpoint (1, 'z') not among declared vertices",
+            id="bipartite-undeclared-endpoint",
+        ),
+        pytest.param(
+            lambda: ColoredBipartiteGraph((1,), ("x",), frozenset({(1, "x", 1), (1, "x", 2)})),
+            "pair (1, 'x') carries more than one color",
+            id="bipartite-two-colors",
+        ),
+        pytest.param(
+            lambda: ColoredGraph((1,), frozenset({(frozenset({1}), 1)})),
+            "edge {1} is not a 2-set (self-loops are not allowed)",
+            id="general-not-a-2-set",
+        ),
+        pytest.param(
+            lambda: ColoredGraph((1, 2), frozenset({(frozenset({1, 3}), 1)})),
+            "edge {1, 3} uses undeclared vertices",
+            id="general-undeclared-vertex",
+        ),
+        pytest.param(
+            lambda: ColoredGraph((1, 2), frozenset({(frozenset({1, 2}), 1), (frozenset({1, 2}), 2)})),
+            "edge {1, 2} carries more than one color",
+            id="general-two-colors",
+        ),
+    ],
+)
+def test_structural_error_messages(build, message):
+    with pytest.raises(GraphError) as info:
+        build()
+    assert str(info.value) == message
+
+
 BIPARTITE_THREE_COLORS = (
     "ColoredBipartiteGraph(('u', 'v', 'w'), ('x', 'y', 'z'), frozenset({"
     "('u', 'x', 'red'), ('u', 'y', 'red'), ('v', 'y', 'blue'), ('v', 'z', 'blue'),"
