@@ -60,14 +60,9 @@ from .graphs import (
     GraphError,
     NonConstantDegreeError,
     NotStrongError,
-    Orientation,
-    VertexColoring,
     as_general_graph,
     coloring_to_pda,
-    cycle_strong_coloring,
-    cycle_vertex_coloring,
     is_strong_coloring,
-    opposing_orientations,
     pda_to_coloring,
     split_bipartite,
     two_coloring,

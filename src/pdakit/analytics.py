@@ -121,6 +121,8 @@ def star_intersection_params(
 
 
 def _cycle_color_groups(m: int) -> int:
+    if not (m == 3 or (m >= 6 and m % 6 == 0)):
+        raise ParameterError(f"cycle forms need m = 3 or 6 | m, got m={m}")
     # vertex colors + two oriented copies of the 3 edge colors
     return 9 if m == 3 else 8
 
@@ -133,15 +135,14 @@ def cycle_family_params(n: int, a: int, b: int, m: int) -> SchemeRow:
     """
     if a < 1 or b < 1 or a + b > n:
         raise ParameterError(f"bad disjoint-union parameters n={n} a={a} b={b}")
-    if not (m == 3 or (m >= 6 and m % 6 == 0)):
-        raise ParameterError(f"cycle forms need m = 3 or 6 | m, got m={m}")
+    groups = _cycle_color_groups(m)
     base_f = binomial(n, a)
     return SchemeRow(
         label=f"n={n} a={a} b={b} m={m}",
         K=m * binomial(n, b),
         one_minus_MN=Fraction(3 * binomial(n - b, a), m * base_f),
         F=m * base_f,
-        R=Fraction(_cycle_color_groups(m) * binomial(n, a + b), m * base_f),
+        R=Fraction(groups * binomial(n, a + b), m * base_f),
     )
 
 
@@ -193,8 +194,7 @@ def block_code_params(n: int, q: int, l: int, x: int) -> SchemeRow:
 def block_code_cycle_params(n: int, q: int, l: int, x: int, m: int) -> SchemeRow:
     """Cycle-product transform of the block-code family:
     (K, F, Z, S) -> (mK, mF, mF - 3g, 8S) for 6 | m (9S when m = 3)."""
-    if not (m == 3 or (m >= 6 and m % 6 == 0)):
-        raise ParameterError(f"cycle forms need m = 3 or 6 | m, got m={m}")
+    groups = _cycle_color_groups(m)
     base = block_code_params(n, q, l, x)
     g_val = x * (q - 1) * q ** (l - 1)
     s_val = x * q**l
@@ -203,7 +203,7 @@ def block_code_cycle_params(n: int, q: int, l: int, x: int, m: int) -> SchemeRow
         K=m * base.K,
         one_minus_MN=Fraction(3 * g_val, m * base.F),
         F=m * base.F,
-        R=Fraction(_cycle_color_groups(m) * s_val, m * base.F),
+        R=Fraction(groups * s_val, m * base.F),
         note=base.note,
     )
 

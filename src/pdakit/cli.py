@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import analytics, combinators, families, graphs, scheme
 from .core import (
@@ -70,7 +71,7 @@ def _cmd_params(args) -> int:
     return EXIT_OK
 
 
-def _demands_for(p: PdaArray, args) -> list[tuple[int, ...]]:
+def _demands_for(p: PdaArray, args) -> Iterable[tuple[int, ...]]:
     if args.demand and args.exhaustive:
         raise UsageError("--demand and --exhaustive are mutually exclusive")
     if args.demand:
@@ -79,7 +80,7 @@ def _demands_for(p: PdaArray, args) -> list[tuple[int, ...]]:
         except ValueError as exc:
             raise UsageError(f"bad --demand {args.demand!r}: {exc}") from exc
     if args.exhaustive or args.files**p.K <= 4096:
-        return list(scheme.exhaustive_demands(args.files, p.K))
+        return scheme.exhaustive_demands(args.files, p.K)
     return scheme.random_demands(args.files, p.K, 200, args.seed)
 
 
@@ -89,14 +90,14 @@ def _cmd_simulate(args) -> int:
     p = _load(args.file)
     pr = params(p)
     lib = scheme.FileLibrary.for_array(p, args.files, args.seed)
-    demands = _demands_for(p, args)
-    failures = 0
-    for d in demands:
+    total = failures = 0
+    for d in _demands_for(p, args):
         ok = scheme.verify_roundtrip(p, lib, d)
         status = "pass" if ok else "FAIL"
         print(f"demand {','.join(map(str, d))}: {status}")
+        total += 1
         failures += 0 if ok else 1
-    print(f"{len(demands) - failures}/{len(demands)} demands decoded; broadcasts per demand: {pr.S}; rate R={pr.rate}")
+    print(f"{total - failures}/{total} demands decoded; broadcasts per demand: {pr.S}; rate R={pr.rate}")
     if failures:
         print("decoding failed on a validated array: validator invariant breached", file=sys.stderr)
         return EXIT_INTERNAL

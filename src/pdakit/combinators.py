@@ -22,9 +22,6 @@ from .graphs import (
     ColoredGraph,
     Label,
     _require_strong,
-    cycle_strong_coloring,
-    cycle_vertex_coloring,
-    opposing_orientations,
     two_coloring,
 )
 
@@ -160,23 +157,26 @@ def cycle_product(base: ColoredBipartiteGraph, m: int) -> ColoredBipartiteGraph:
     oriented cycle assigns to the arrow between them; both are paired with the
     base color.  Supported m: 3 (nine color groups) and multiples of 6 (eight,
     since the vertex coloring then needs only two colors).
+
+    The colors follow a closed rule.  Vertex x has color "abc"[x-1] when
+    m = 3, and otherwise "a" for odd x and "b" for even x.  The arrow
+    x -> (x mod m) + 1 has color (x mod 3) + 1, and the reverse arrow the same
+    color primed.  This equals the paper's construction from a proper vertex
+    coloring, the 3-color strong edge coloring of the cycle and its two
+    opposing orientations, which lives in the tests as the reference
+    (test_cycle_product_equals_the_oriented_cycle_construction).
     """
     if not (m == 3 or (m >= 6 and m % 6 == 0)):
         raise CombineError(f"cycle product supports m = 3 or m divisible by 6, got m={m}")
     _require_strong(base)
-    vertex_colors = cycle_vertex_coloring(m).as_dict()
-    ecol = cycle_strong_coloring(m)
-    forward, backward = opposing_orientations(ecol)
-    arrows = {pair: s for pair, s in forward.directed}
-    arrows.update({pair: s for pair, s in backward.directed})
+    ring = range(1, m + 1)
+    # (first row coordinate, first column coordinate, cycle color) for every step
+    steps = [(x, x, "abc"[x - 1] if m == 3 else "ab"[(x - 1) % 2]) for x in ring]
+    for x in ring:
+        s = x % 3 + 1
+        steps += [(x, x % m + 1, s), (x % m + 1, x, f"{s}'")]
 
-    ring = tuple(range(1, m + 1))
     left = tuple((x, y) for x in ring for y in base.left)
     right = tuple((x, v) for x in ring for v in base.right)
-    triples: set[tuple[Label, Label, Label]] = set()
-    for y, v, s2 in base.triples:
-        for x in ring:
-            triples.add(((x, y), (x, v), (vertex_colors[x], s2)))
-        for (x, u), s in arrows.items():
-            triples.add(((x, y), (u, v), (s, s2)))
-    return ColoredBipartiteGraph(left, right, frozenset(triples))
+    triples = frozenset(((x, y), (u, v), (s, s2)) for y, v, s2 in base.triples for x, u, s in steps)
+    return ColoredBipartiteGraph(left, right, triples)

@@ -11,10 +11,6 @@ index kept by that pass: edges in the declared order of the vertices, row-major
 over a bipartite graph's sides or by endpoint position in a general graph's
 ``vertices``.  Strength witnesses, the degree witness and the array built from a
 coloring all follow that order, so none depends on set iteration or hashing.
-
-Also houses the cycle machinery used by the strong-like product: cycles with
-proper vertex colorings, 3-color strong edge colorings, and pairs of opposing
-orientations carrying disjoint color sets.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ Label = Hashable
 
 
 class GraphError(ValueError):
-    """Structural problem with a graph, coloring, or orientation."""
+    """Structural problem with a graph or its coloring."""
 
 
 class NonConstantDegreeError(GraphError):
@@ -120,6 +116,8 @@ class ColoredGraph:
     def __post_init__(self):
         pos = {v: i for i, v in enumerate(self.vertices)}
         n = len(self.vertices)
+        if len(pos) != n:
+            raise GraphError("duplicate vertex label")
         colored: dict[int, Label] = {}
         for e, s in self.colored_edges:
             if len(e) != 2:
@@ -135,27 +133,6 @@ class ColoredGraph:
     @property
     def colors(self) -> frozenset[Label]:
         return frozenset(self._palette)
-
-
-@dataclass(frozen=True)
-class VertexColoring:
-    """Assignment vertex -> color; proper when adjacent vertices differ."""
-
-    assignments: tuple[tuple[Label, Label], ...]
-
-    def as_dict(self) -> dict[Label, Label]:
-        return dict(self.assignments)
-
-
-@dataclass(frozen=True)
-class Orientation:
-    """One direction per colored edge: (<x, y>, color) pairs."""
-
-    directed: frozenset[tuple[tuple[Label, Label], Label]]
-
-    @property
-    def colors(self) -> frozenset[Label]:
-        return frozenset(s for _, s in self.directed)
 
 
 def _strong_violations_bipartite(g: ColoredBipartiteGraph) -> list[Violation]:
@@ -314,48 +291,3 @@ def two_coloring(g: ColoredGraph) -> Optional[dict[Label, int]]:
                 elif side[w] == side[u]:
                     return None
     return side
-
-
-def cycle_vertex_coloring(m: int) -> VertexColoring:
-    """Parity 2-coloring for even m; the 3-coloring {a, b, c} for m = 3."""
-    if m == 3:
-        return VertexColoring(((1, "a"), (2, "b"), (3, "c")))
-    if m >= 4 and m % 2 == 0:
-        return VertexColoring(tuple((v, "a" if v % 2 == 1 else "b") for v in range(1, m + 1)))
-    raise GraphError(f"no vertex coloring rule for m={m}: need m=3 or m even")
-
-
-def cycle_strong_coloring(m: int) -> ColoredGraph:
-    """Color edge {i, i+1} with ((i-1) mod 3) + 1; strong when 3 divides m."""
-    if m < 3 or m % 3 != 0:
-        raise GraphError(f"3-color strong edge coloring of a cycle needs 3 | m, got m={m}")
-    vertices = tuple(range(1, m + 1))
-    edges = frozenset(
-        (frozenset({vertices[i], vertices[(i + 1) % m]}), (i % 3) + 1) for i in range(m)
-    )
-    return ColoredGraph(vertices, edges)
-
-
-def opposing_orientations(c: ColoredGraph) -> tuple[Orientation, Orientation]:
-    """Clockwise and counterclockwise traversals of a colored cycle.
-
-    The input must be a cycle whose traversal order matches the vertex list.
-    The forward direction <v_i, v_i+1> takes the color of the successor edge
-    (a rotation of the base coloring, itself strong); the opposing orientation
-    reverses every edge and primes the color, giving disjoint color sets.
-    """
-    m = len(c.vertices)
-    order = list(c.vertices)
-    ring = [frozenset({order[i], order[(i + 1) % m]}) for i in range(m)]
-    host = {e for e, _ in c.colored_edges}
-    if m < 3 or set(ring) != host or len(host) != m:
-        raise GraphError("opposing orientations are defined here for cycles in vertex order")
-    color_at = {e: s for e, s in c.colored_edges}
-    forward = []
-    backward = []
-    for i in range(m):
-        x, y = order[i], order[(i + 1) % m]
-        s = color_at[ring[(i + 1) % m]]
-        forward.append(((x, y), s))
-        backward.append(((y, x), f"{s}'"))
-    return Orientation(frozenset(forward)), Orientation(frozenset(backward))

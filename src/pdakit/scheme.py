@@ -103,20 +103,12 @@ class Slot:
     payload: bytes
     senders: tuple[tuple[int, int], ...]  # 1-based (row, column) cells
 
-    def packet_ids(self, demand: Sequence[int]) -> frozenset[tuple[int, int]]:
-        """The (file, packet) pairs XOR-ed into this slot under a demand."""
-        return frozenset((demand[k - 1], j) for j, k in self.senders)
-
 
 @dataclass(frozen=True)
 class BroadcastLog:
     """All S slots, in color order 1..S."""
 
     slots: tuple[Slot, ...]
-
-    @property
-    def broadcast_count(self) -> int:
-        return len(self.slots)
 
 
 def _check_length(p: PdaArray, demand: Sequence[int]) -> tuple[int, ...]:

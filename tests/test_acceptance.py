@@ -86,7 +86,7 @@ def test_criterion_1_worked_example_fidelity():
             {(2, 2), (1, 1)},
             {(2, 4), (1, 3)},
         ]
-        assert [slot.packet_ids(demand) for slot in log.slots] == [
+        assert [frozenset((demand[k - 1], j) for j, k in slot.senders) for slot in log.slots] == [
             frozenset(s) for s in expected_slots
         ]
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from pdakit import cli, core
+from pdakit import cli, core, scheme
 from pdakit.cli import main
 from pdakit.core import params, read_pda, validate, write_pda
 
@@ -192,6 +192,27 @@ def test_simulate_checks_its_array_once(ex1_file, monkeypatch):
     monkeypatch.setattr(cli, "validate", counting_validate)
     assert main(["simulate", ex1_file, "--files", "2", "--demand", "1,2,2,1"]) == 0
     assert len(scans) == 1
+
+
+def test_simulate_exhaustive_streams_its_demands(ex1_file, monkeypatch):
+    real_demands, real_roundtrip = scheme.exhaustive_demands, scheme.verify_roundtrip
+    yielded, seen_at_first_run = [], []
+
+    def counting_demands(n_files, users):
+        for d in real_demands(n_files, users):
+            yielded.append(d)
+            yield d
+
+    def noting_roundtrip(p, lib, demand):
+        if not seen_at_first_run:
+            seen_at_first_run.append(len(yielded))
+        return real_roundtrip(p, lib, demand)
+
+    monkeypatch.setattr(scheme, "exhaustive_demands", counting_demands)
+    monkeypatch.setattr(scheme, "verify_roundtrip", noting_roundtrip)
+    assert main(["simulate", ex1_file, "--files", "2", "--exhaustive"]) == 0
+    assert seen_at_first_run == [1]
+    assert len(yielded) == 16
 
 
 def test_simulate_usage_errors(ex1_file):

@@ -171,9 +171,7 @@ def test_tensor_trivial_with_edge_is_strong():
 
 
 def test_tensor_rejects_two_odd_cycles():
-    from pdakit.graphs import cycle_strong_coloring
-
-    c3 = cycle_strong_coloring(3)
+    c3 = ColoredGraph((1, 2, 3), frozenset((frozenset({x, x % 3 + 1}), x) for x in (1, 2, 3)))
     with pytest.raises(CombineError):
         tensor_product(c3, c3)
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -11,19 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdakit
-from pdakit.core import PdaArray, validate
+from pdakit.combinators import cycle_product
+from pdakit.core import PdaArray, validate, write_pda
+from pdakit.families import disjoint_union_coloring, star_graph_coloring, trivial_pda
 from pdakit.graphs import (
     ColoredBipartiteGraph,
     ColoredGraph,
     GraphError,
+    Label,
     NonConstantDegreeError,
     NotStrongError,
     as_general_graph,
     coloring_to_pda,
-    cycle_strong_coloring,
-    cycle_vertex_coloring,
     is_strong_coloring,
-    opposing_orientations,
     pda_to_coloring,
     split_bipartite,
     two_coloring,
@@ -172,6 +173,97 @@ def test_cross_oracle_agreement_random(seed):
     assert report.is_valid == (strong and _constant_right_degree(p))
 
 
+# The paper's cycle construction, kept here as the reference that
+# combinators.cycle_product's closed rule is checked against: a proper vertex
+# coloring of the m-cycle, its 3-color strong edge coloring, and the two
+# opposing orientations that carry disjoint color sets.
+
+
+@dataclass(frozen=True)
+class VertexColoring:
+    """Assignment vertex -> color; proper when adjacent vertices differ."""
+
+    assignments: tuple[tuple[Label, Label], ...]
+
+    def as_dict(self) -> dict[Label, Label]:
+        return dict(self.assignments)
+
+
+@dataclass(frozen=True)
+class Orientation:
+    """One direction per colored edge: (<x, y>, color) pairs."""
+
+    directed: frozenset[tuple[tuple[Label, Label], Label]]
+
+    @property
+    def colors(self) -> frozenset[Label]:
+        return frozenset(s for _, s in self.directed)
+
+
+def cycle_vertex_coloring(m: int) -> VertexColoring:
+    """Parity 2-coloring for even m; the 3-coloring {a, b, c} for m = 3."""
+    if m == 3:
+        return VertexColoring(((1, "a"), (2, "b"), (3, "c")))
+    if m >= 4 and m % 2 == 0:
+        return VertexColoring(tuple((v, "a" if v % 2 == 1 else "b") for v in range(1, m + 1)))
+    raise GraphError(f"no vertex coloring rule for m={m}: need m=3 or m even")
+
+
+def cycle_strong_coloring(m: int) -> ColoredGraph:
+    """Color edge {i, i+1} with ((i-1) mod 3) + 1; strong when 3 divides m."""
+    if m < 3 or m % 3 != 0:
+        raise GraphError(f"3-color strong edge coloring of a cycle needs 3 | m, got m={m}")
+    vertices = tuple(range(1, m + 1))
+    edges = frozenset(
+        (frozenset({vertices[i], vertices[(i + 1) % m]}), (i % 3) + 1) for i in range(m)
+    )
+    return ColoredGraph(vertices, edges)
+
+
+def opposing_orientations(c: ColoredGraph) -> tuple[Orientation, Orientation]:
+    """Clockwise and counterclockwise traversals of a colored cycle.
+
+    The input must be a cycle whose traversal order matches the vertex list.
+    The forward direction <v_i, v_i+1> takes the color of the successor edge
+    (a rotation of the base coloring, itself strong); the opposing orientation
+    reverses every edge and primes the color, giving disjoint color sets.
+    """
+    m = len(c.vertices)
+    order = list(c.vertices)
+    ring = [frozenset({order[i], order[(i + 1) % m]}) for i in range(m)]
+    host = {e for e, _ in c.colored_edges}
+    if m < 3 or set(ring) != host or len(host) != m:
+        raise GraphError("opposing orientations are defined here for cycles in vertex order")
+    color_at = {e: s for e, s in c.colored_edges}
+    forward = []
+    backward = []
+    for i in range(m):
+        x, y = order[i], order[(i + 1) % m]
+        s = color_at[ring[(i + 1) % m]]
+        forward.append(((x, y), s))
+        backward.append(((y, x), f"{s}'"))
+    return Orientation(frozenset(forward)), Orientation(frozenset(backward))
+
+
+def _oriented_cycle_product(base: ColoredBipartiteGraph, m: int) -> ColoredBipartiteGraph:
+    """The cycle product as the paper builds it: a proper vertex coloring of
+    the m-cycle, its 3-color strong edge coloring and the two opposing
+    orientations give the color of each equal or adjacent first coordinate."""
+    vertex_colors = cycle_vertex_coloring(m).as_dict()
+    forward, backward = opposing_orientations(cycle_strong_coloring(m))
+    arrows = dict(forward.directed) | dict(backward.directed)
+    ring = tuple(range(1, m + 1))
+    left = tuple((x, y) for x in ring for y in base.left)
+    right = tuple((x, v) for x in ring for v in base.right)
+    triples = set()
+    for y, v, s2 in base.triples:
+        for x in ring:
+            triples.add(((x, y), (x, v), (vertex_colors[x], s2)))
+        for (x, u), s in arrows.items():
+            triples.add(((x, y), (u, v), (s, s2)))
+    return ColoredBipartiteGraph(left, right, frozenset(triples))
+
+
 def test_cycle_structure():
     ec = cycle_strong_coloring(6)
     assert ec.vertices == (1, 2, 3, 4, 5, 6)
@@ -250,6 +342,27 @@ def test_opposing_orientations_reject_a_non_cycle():
             opposing_orientations(graph)
 
 
+@pytest.mark.parametrize("m", [3, 6, 12, 18, 24, 30, 36])
+def test_cycle_product_equals_the_oriented_cycle_construction(m):
+    string_strip = ColoredBipartiteGraph(
+        left=("u", "v"),
+        right=("p", "q", "r", "s"),
+        triples=frozenset({("u", "q", "red"), ("u", "s", "blue"), ("v", "p", "red"), ("v", "r", "blue")}),
+    )
+    bases = [
+        pda_to_coloring(trivial_pda()),
+        disjoint_union_coloring(4, 1, 2),
+        star_graph_coloring(3),
+        string_strip,
+    ]
+    for base in bases:
+        direct = cycle_product(base, m)
+        reference = _oriented_cycle_product(base, m)
+        assert direct == reference
+        p, q = coloring_to_pda(direct), coloring_to_pda(reference)
+        assert (write_pda(p), p.legend) == (write_pda(q), q.legend)
+
+
 def test_two_coloring_and_split():
     even = cycle_strong_coloring(6)
     side = two_coloring(even)
@@ -310,6 +423,11 @@ def test_graph_construction_errors():
             lambda: ColoredGraph((1, 2), frozenset({(frozenset({1, 2}), 1), (frozenset({1, 2}), 2)})),
             "edge {1, 2} carries more than one color",
             id="general-two-colors",
+        ),
+        pytest.param(
+            lambda: ColoredGraph(("a", "b", "a"), frozenset({(frozenset("ab"), 1)})),
+            "duplicate vertex label",
+            id="general-duplicate-label",
         ),
     ],
 )
