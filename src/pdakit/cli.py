@@ -72,9 +72,9 @@ def _cmd_params(args) -> int:
 
 
 def _demands_for(p: PdaArray, args) -> Iterable[tuple[int, ...]]:
-    if args.demand and args.exhaustive:
+    if args.demand is not None and args.exhaustive:
         raise UsageError("--demand and --exhaustive are mutually exclusive")
-    if args.demand:
+    if args.demand is not None:
         try:
             return [tuple(int(tok) for tok in args.demand.split(","))]
         except ValueError as exc:

@@ -129,6 +129,9 @@ class PdaArray:
     S: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Rows are stored as tuples, so no caller's list can change a checked
+        # grid or the views memoized from it.
+        object.__setattr__(self, "grid", tuple(tuple(row) for row in self.grid))
         if not self.grid or not self.grid[0]:
             raise PdaError("grid must have at least one row and one column")
         width = len(self.grid[0])
@@ -152,7 +155,7 @@ class PdaArray:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Entry]], legend: Optional[Mapping[int, object]] = None) -> "PdaArray":
-        return cls(tuple(tuple(row) for row in rows), legend)
+        return cls(rows, legend)
 
     @property
     def F(self) -> int:
@@ -174,6 +177,23 @@ class PdaArray:
 
     def star_count(self, k: int) -> int:
         return self._star_counts[k]
+
+    @cached_property
+    def color_cells(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per color 1..S, its 1-based (row, column) cells in row-major order.
+
+        Built on first use and kept with the array, for the protocol simulator;
+        the validators use the transient :meth:`entries_by_color` instead.
+        """
+        classes = self.entries_by_color()
+        return tuple(tuple((j + 1, k + 1) for j, k in classes[s]) for s in range(1, self.S + 1))
+
+    @cached_property
+    def star_rows(self) -> tuple[frozenset[int], ...]:
+        """Per column, the 1-based rows holding a star; built on first use."""
+        return tuple(
+            frozenset(j for j, e in enumerate(column, start=1) if e is None) for column in zip(*self.grid)
+        )
 
     def entries_by_color(self) -> dict[int, list[tuple[int, int]]]:
         """Map color -> 0-based (row, col) positions, in row-major order."""
@@ -471,7 +491,7 @@ def read_pda(text: str) -> PdaArray:
         grid.append(tuple(row))
 
     try:
-        p = PdaArray(tuple(grid))
+        p = PdaArray(grid)
     except PdaError as exc:
         raise PdaFormatError(str(exc), 3, 1) from exc
     if p.S != S:

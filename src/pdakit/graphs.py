@@ -236,7 +236,7 @@ def coloring_to_pda(g: ColoredBipartiteGraph) -> PdaArray:
     for j, k, c in g._edges:
         grid[j][k] = g._palette[c] if already_dense else c + 1
     legend = None if already_dense else dict(zip(dense, g._palette))
-    return PdaArray(tuple(map(tuple, grid)), legend=legend)
+    return PdaArray(grid, legend=legend)
 
 
 def as_general_graph(g: ColoredBipartiteGraph) -> ColoredGraph:

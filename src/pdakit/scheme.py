@@ -1,10 +1,15 @@
-"""Byte-level execution of the caching protocol an array encodes.
+"""Byte-exact execution of the caching protocol an array encodes.
 
-Placement stores packet (i, j) at user k whenever grid cell (j, k) is a star.
+Placement stores packet (i, j) at user k whenever grid cell (j, k) is a star,
+so a user's cache is the set of star rows of its column: it holds those
+packets of every library file, which are read from the library, not copied.
 Delivery broadcasts, for each color s, the XOR of packets (demand[k], j) over
 the cells (j, k) carrying s.  Each user then recovers every missing packet by
 XOR-ing the slot with the contributions of the other users, all of which sit
 in its cache exactly when the array satisfies condition C.
+
+Every packet is held as one big-endian Python int, so each XOR runs over a
+whole packet at once; payloads and decoded files are still exact bytes.
 
 Files, packets, users, and colors are numbered from 1 throughout this module,
 matching the validation reports; the grid itself is indexed from 0.
@@ -13,9 +18,9 @@ matching the validation reports; the grid itself is indexed from 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .core import PdaArray
 
@@ -41,15 +46,15 @@ class DecodingError(RuntimeError):
         self.slot = slot
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
 @dataclass(frozen=True)
 class FileLibrary:
     """N equal-length files; lengths must divide evenly into F packets."""
 
     files: tuple[bytes, ...]
+    # (packet count F, file i) -> that file's packets as ints, built on first use.
+    _packet_ints: dict[tuple[int, int], tuple[int, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if not self.files:
@@ -73,6 +78,17 @@ class FileLibrary:
         size = self.file_len // packets_per_file
         return self.files[i - 1][(j - 1) * size : j * size]
 
+    def packet_ints(self, i: int, packets_per_file: int) -> tuple[int, ...]:
+        """Packets 1..F of file i as big-endian ints, converted once per (F, i)."""
+        ints = self._packet_ints.get((packets_per_file, i))
+        if ints is None:
+            ints = tuple(
+                int.from_bytes(self.packet(i, j, packets_per_file), "big")
+                for j in range(1, packets_per_file + 1)
+            )
+            self._packet_ints[(packets_per_file, i)] = ints
+        return ints
+
     @classmethod
     def random(cls, n_files: int, file_len: int, seed: int) -> "FileLibrary":
         """Deterministic pseudorandom contents from a 64-bit seed."""
@@ -87,12 +103,18 @@ class FileLibrary:
 
 @dataclass(frozen=True)
 class CacheState:
-    """Per-user caches: user k holds ``caches[k-1]``, keyed by (file, packet)."""
+    """Per-user caches, held as star rows rather than copied bytes.
 
-    caches: tuple[Mapping[tuple[int, int], bytes], ...]
+    User k holds packet (i, j) of every library file i for each star row j in
+    ``rows[k-1]``, read from ``library``; each packet is ``packet_bytes`` long.
+    """
+
+    library: FileLibrary
+    rows: tuple[frozenset[int], ...]
+    packet_bytes: int
 
     def user_bytes(self, k: int) -> int:
-        return sum(len(v) for v in self.caches[k - 1].values())
+        return len(self.rows[k - 1]) * self.library.n_files * self.packet_bytes
 
 
 @dataclass(frozen=True)
@@ -111,15 +133,10 @@ class BroadcastLog:
     slots: tuple[Slot, ...]
 
 
-def _check_length(p: PdaArray, demand: Sequence[int]) -> tuple[int, ...]:
+def _check_demand(p: PdaArray, lib: FileLibrary, demand: Sequence[int]) -> tuple[int, ...]:
     d = tuple(demand)
     if len(d) != p.K:
         raise SchemeError(f"demand must list {p.K} files, got {len(d)}")
-    return d
-
-
-def _check_demand(p: PdaArray, lib: FileLibrary, demand: Sequence[int]) -> tuple[int, ...]:
-    d = _check_length(p, demand)
     for k, want in enumerate(d, start=1):
         if not 1 <= want <= lib.n_files:
             raise SchemeError(f"user {k} demands file {want}, library has 1..{lib.n_files}")
@@ -134,30 +151,20 @@ def _packet_size(p: PdaArray, lib: FileLibrary) -> int:
 
 def place(p: PdaArray, lib: FileLibrary) -> CacheState:
     """Fill caches: user k stores packet (i, j) of every file i when (j, k) is a star."""
-    _packet_size(p, lib)
-    caches = []
-    for k in range(1, p.K + 1):
-        cache: dict[tuple[int, int], bytes] = {}
-        for j in range(1, p.F + 1):
-            if p.grid[j - 1][k - 1] is None:
-                for i in range(1, lib.n_files + 1):
-                    cache[(i, j)] = lib.packet(i, j, p.F)
-        caches.append(cache)
-    return CacheState(tuple(caches))
+    return CacheState(lib, p.star_rows, _packet_size(p, lib))
 
 
 def deliver(p: PdaArray, lib: FileLibrary, demand: Sequence[int]) -> BroadcastLog:
     """One slot per color: XOR of packets (demand[k], j) over cells (j, k) of that color."""
     size = _packet_size(p, lib)
     d = _check_demand(p, lib, demand)
-    classes = p.entries_by_color()
+    wanted = [lib.packet_ints(i, p.F) for i in d]
     slots = []
-    for s in sorted(classes):
-        senders = tuple((j0 + 1, k0 + 1) for j0, k0 in classes[s])
-        payload = bytes(size)
+    for s, senders in enumerate(p.color_cells, start=1):
+        payload = 0
         for j, k in senders:
-            payload = _xor(payload, lib.packet(d[k - 1], j, p.F))
-        slots.append(Slot(color=s, payload=payload, senders=senders))
+            payload ^= wanted[k - 1][j - 1]
+        slots.append(Slot(color=s, payload=payload.to_bytes(size, "big"), senders=senders))
     return BroadcastLog(tuple(slots))
 
 
@@ -170,27 +177,26 @@ def decode(
     contributors' packets out of slot s; those packets are cached whenever the
     array satisfies condition C, otherwise DecodingError identifies the gap.
     """
-    d = _check_length(p, demand)
+    lib, size = caches.library, caches.packet_bytes
+    d = _check_demand(p, lib, demand)
+    wanted = [lib.packet_ints(i, p.F) for i in d]
+    received = [(int.from_bytes(slot.payload, "big"), slot.senders) for slot in log.slots]
     out = []
-    for k in range(1, p.K + 1):
-        want = d[k - 1]
-        cache = caches.caches[k - 1]
+    for k, (rows, mine) in enumerate(zip(caches.rows, wanted), start=1):
         parts = []
-        for j in range(1, p.F + 1):
-            e = p.grid[j - 1][k - 1]
+        for j, grid_row in enumerate(p.grid, start=1):
+            e = grid_row[k - 1]
             if e is None:
-                parts.append(cache[(want, j)])
+                parts.append(mine[j - 1].to_bytes(size, "big"))
                 continue
-            slot = log.slots[e - 1]
-            acc = slot.payload
-            for j2, k2 in slot.senders:
+            acc, senders = received[e - 1]
+            for j2, k2 in senders:
                 if k2 == k:
                     continue
-                key = (d[k2 - 1], j2)
-                if key not in cache:
-                    raise DecodingError(user=k, packet=key, slot=e)
-                acc = _xor(acc, cache[key])
-            parts.append(acc)
+                if j2 not in rows:
+                    raise DecodingError(user=k, packet=(d[k2 - 1], j2), slot=e)
+                acc ^= wanted[k2 - 1][j2 - 1]
+            parts.append(acc.to_bytes(size, "big"))
         out.append(b"".join(parts))
     return tuple(out)
 

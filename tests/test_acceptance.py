@@ -75,8 +75,9 @@ def test_criterion_1_worked_example_fidelity():
         caches = place(EXAMPLE1, lib)
         odd = {(1, 1), (1, 3), (2, 1), (2, 3)}
         even = {(1, 2), (1, 4), (2, 2), (2, 4)}
-        assert set(caches.caches[0]) == set(caches.caches[2]) == odd
-        assert set(caches.caches[1]) == set(caches.caches[3]) == even
+        held = [{(i, j) for i in (1, 2) for j in rows} for rows in caches.rows]
+        assert held[0] == held[2] == odd
+        assert held[1] == held[3] == even
 
         demand = (1, 2, 2, 1)
         log = deliver(EXAMPLE1, lib, demand)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdakit import cli, core, scheme
 from pdakit.cli import main
@@ -219,6 +221,56 @@ def test_simulate_usage_errors(ex1_file):
     assert main(["simulate", ex1_file, "--files", "0"]) == 2
     assert main(["simulate", ex1_file, "--files", "2", "--demand", "1,2", "--exhaustive"]) == 2
     assert main(["simulate", ex1_file, "--files", "2", "--demand", "1,2,oops,1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra", [["--demand", ""], ["--demand", "", "--exhaustive"]], ids=["alone", "with-exhaustive"]
+)
+def test_simulate_rejects_an_empty_demand(ex1_file, extra, capsys):
+    assert main(["simulate", ex1_file, "--files", "2", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def simulate_files(tmp_path_factory):
+    """Small valid and invalid array files, one path per name."""
+    folder = tmp_path_factory.mktemp("simulate")
+    texts = {"ex1": EX1_TEXT, "strip": STRIP_TEXT, "broken": BROKEN_TEXT,
+             "trivial": "pda v1\nK=2 F=2 Z=1 S=1\n* 1\n1 *\n"}
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = folder / f"{name}.pda"
+        paths[name].write_text(text)
+    return {name: str(path) for name, path in paths.items()}
+
+
+DEMAND_PIECES = st.sampled_from(
+    ["1", "2", "5", "0", "-1", "9" * 30, "9" * 5000, ",", " ", "x", "1_0", "\u0661", ""]
+)
+
+
+@given(
+    name=st.sampled_from(["ex1", "strip", "broken", "trivial"]),
+    demand=st.none() | st.text(max_size=12) | st.lists(DEMAND_PIECES, max_size=9).map("".join),
+    files=st.integers(min_value=0, max_value=5),
+    seed=st.integers(min_value=-(2**70), max_value=2**70),
+    exhaustive=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_simulate_returns_an_exit_code_for_any_demand(simulate_files, name, demand, files, seed, exhaustive):
+    argv = ["simulate", simulate_files[name], "--files", str(files), "--seed", str(seed)]
+    if demand is not None:
+        argv += ["--demand", demand]
+    if exhaustive:
+        argv.append("--exhaustive")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage error
+        assert exc.code == 2
+    else:
+        assert code in (0, 1, 2, 3)
 
 
 def test_table_output(capsys, tmp_path):

@@ -86,6 +86,17 @@ def test_star_counts_match_a_per_column_scan():
         assert p.S == len({e for row in p.grid for e in row if e is not None})
 
 
+def test_grid_rows_are_stored_as_tuples():
+    rows = [[None, 1], [1, None]]
+    p = PdaArray(grid=rows)
+    assert type(p.grid) is tuple and all(type(row) is tuple for row in p.grid)
+    rows[0][0] = 2  # the caller's lists are not the array's rows
+    assert p.grid == ((None, 1), (1, None))
+    assert p.star_count(0) == 1
+    assert p == PdaArray.from_rows([[None, 1], [1, None]])
+    assert hash(p) == hash(PdaArray.from_rows([[None, 1], [1, None]]))
+
+
 def test_params_example1(example1):
     pr = params(example1)
     assert (pr.K, pr.F, pr.Z, pr.S) == (4, 4, 2, 4)

@@ -1,15 +1,25 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from pdakit.combinators import cycle_product
-from pdakit.core import PdaArray, params
-from pdakit.families import star_graph_coloring, trivial_pda
+from pdakit.combinators import cycle_product, star_product
+from pdakit.core import EquivalenceResult, PdaArray, equivalent, params, validate
+from pdakit.families import (
+    disjoint_union_coloring,
+    intersection_t_coloring,
+    restricted_combined_family,
+    star_graph_coloring,
+    trivial_pda,
+)
 from pdakit.graphs import coloring_to_pda, pda_to_coloring
 from pdakit.scheme import (
+    BroadcastLog,
     DecodingError,
     FileLibrary,
     SchemeError,
+    Slot,
     decode,
     deliver,
     exhaustive_demands,
@@ -19,14 +29,24 @@ from pdakit.scheme import (
 )
 
 
+def _cached(caches, k: int, packets_per_file: int) -> dict[tuple[int, int], bytes]:
+    """User k's cache as (file, packet) -> bytes, read from its star rows."""
+    lib = caches.library
+    return {
+        (i, j): lib.packet_ints(i, packets_per_file)[j - 1].to_bytes(caches.packet_bytes, "big")
+        for i in range(1, lib.n_files + 1)
+        for j in caches.rows[k - 1]
+    }
+
+
 def test_placement_matches_worked_example(example1):
     lib = FileLibrary.for_array(example1, 2, seed=11)
     caches = place(example1, lib)
     odd = {(1, 1), (1, 3), (2, 1), (2, 3)}
     even = {(1, 2), (1, 4), (2, 2), (2, 4)}
-    assert set(caches.caches[0]) == set(caches.caches[2]) == odd
-    assert set(caches.caches[1]) == set(caches.caches[3]) == even
-    for key, value in caches.caches[0].items():
+    assert set(_cached(caches, 1, 4)) == set(_cached(caches, 3, 4)) == odd
+    assert set(_cached(caches, 2, 4)) == set(_cached(caches, 4, 4)) == even
+    for key, value in _cached(caches, 1, 4).items():
         assert value == lib.packet(key[0], key[1], example1.F)
 
 
@@ -42,14 +62,14 @@ def test_all_star_column_caches_everything():
     p = PdaArray.from_rows([[None], [None], [None]])
     lib = FileLibrary.for_array(p, 2, seed=0)
     caches = place(p, lib)
-    assert set(caches.caches[0]) == {(i, j) for i in (1, 2) for j in (1, 2, 3)}
+    assert set(_cached(caches, 1, p.F)) == {(i, j) for i in (1, 2) for j in (1, 2, 3)}
 
 
 def test_zero_star_array_gives_empty_caches():
     p = PdaArray.from_rows([[1, 2, 3]])
     lib = FileLibrary.for_array(p, 2, seed=0)
     caches = place(p, lib)
-    assert all(not c for c in caches.caches)
+    assert all(not rows for rows in caches.rows)
     assert all(verify_roundtrip(p, lib, d) for d in exhaustive_demands(2, 3))
 
 
@@ -126,16 +146,9 @@ def test_roundtrip_on_cycle_product_array():
         assert verify_roundtrip(p, lib, d)
 
 
-def test_roundtrip_policy_sweep_over_generated_arrays():
-    """Exhaustive demands when N^K <= 4096, otherwise 200 seeded vectors."""
-    from pdakit.combinators import star_product
-    from pdakit.families import (
-        disjoint_union_coloring,
-        intersection_t_coloring,
-        restricted_combined_family,
-    )
-
-    catalog = [
+def _roundtrip_catalog() -> list[tuple[PdaArray, int]]:
+    """Generated arrays with a library size each, for the round-trip sweeps."""
+    return [
         (trivial_pda(), 3),
         (coloring_to_pda(disjoint_union_coloring(4, 1, 2)), 2),
         (coloring_to_pda(intersection_t_coloring(4, 2, 2, 1)), 3),
@@ -144,12 +157,20 @@ def test_roundtrip_policy_sweep_over_generated_arrays():
         (restricted_combined_family(4, 1, 2, 1), 2),
         (coloring_to_pda(cycle_product(pda_to_coloring(trivial_pda()), 6)), 3),
     ]
-    for p, n_files in catalog:
+
+
+def _policy_demands(p: PdaArray, n_files: int) -> list[tuple[int, ...]]:
+    """Exhaustive demands when N^K <= 4096, otherwise 200 seeded vectors."""
+    if n_files**p.K <= 4096:
+        return list(exhaustive_demands(n_files, p.K))
+    return random_demands(n_files, p.K, 200, seed=102)
+
+
+def test_roundtrip_policy_sweep_over_generated_arrays():
+    """Exhaustive demands when N^K <= 4096, otherwise 200 seeded vectors."""
+    for p, n_files in _roundtrip_catalog():
         lib = FileLibrary.for_array(p, n_files, seed=101)
-        if n_files**p.K <= 4096:
-            demands = list(exhaustive_demands(n_files, p.K))
-        else:
-            demands = random_demands(n_files, p.K, 200, seed=102)
+        demands = _policy_demands(p, n_files)
         assert all(verify_roundtrip(p, lib, d) for d in demands), (p.K, p.F)
 
 
@@ -197,6 +218,26 @@ def test_decode_rejects_demand_of_wrong_length(example1, demand):
         decode(example1, place(example1, lib), log, demand)
 
 
+def test_decode_rejects_a_file_outside_the_library(example1):
+    lib = FileLibrary.for_array(example1, 2, seed=0)
+    log = deliver(example1, lib, (1, 2, 1, 2))
+    for demand in [(1, 2, 3, 2), (0, 2, 1, 2)]:
+        with pytest.raises(SchemeError, match="library has 1..2"):
+            decode(example1, place(example1, lib), log, demand)
+
+
+def test_protocol_views_are_built_once_per_array_and_only_when_simulated(example1):
+    validate(example1)
+    assert equivalent(example1, example1) is EquivalenceResult.EQUIVALENT
+    assert "color_cells" not in vars(example1) and "star_rows" not in vars(example1)
+    lib = FileLibrary.for_array(example1, 3, seed=0)
+    first, second = deliver(example1, lib, (1, 2, 1, 2)), deliver(example1, lib, (2, 1, 2, 1))
+    assert all(a.senders is b.senders for a, b in zip(first.slots, second.slots))
+    assert place(example1, lib).rows is place(example1, lib).rows
+    assert lib.packet_ints(1, example1.F) is lib.packet_ints(1, example1.F)
+    assert set(lib._packet_ints) == {(example1.F, 1), (example1.F, 2)}  # only demanded files
+
+
 def test_library_construction_errors():
     with pytest.raises(SchemeError):
         FileLibrary(files=())
@@ -211,3 +252,123 @@ def test_random_library_and_demands_are_deterministic():
     b = FileLibrary.random(2, 8, seed=42)
     assert a == b
     assert random_demands(3, 4, 10, seed=6) == random_demands(3, 4, 10, seed=6)
+
+
+# ---- the per-byte reference ------------------------------------------------
+# The protocol as first written: each cache is a dict of copied packet bytes
+# and every XOR runs one byte at a time.  The whole-packet path in
+# pdakit.scheme must give the same slots, the same decoded files and the same
+# DecodingError as this reference.
+
+
+def _ref_xor(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def _ref_place(p: PdaArray, lib: FileLibrary) -> list[dict[tuple[int, int], bytes]]:
+    caches = []
+    for k in range(1, p.K + 1):
+        cache: dict[tuple[int, int], bytes] = {}
+        for j in range(1, p.F + 1):
+            if p.grid[j - 1][k - 1] is None:
+                for i in range(1, lib.n_files + 1):
+                    cache[(i, j)] = lib.packet(i, j, p.F)
+        caches.append(cache)
+    return caches
+
+
+def _ref_deliver(p: PdaArray, lib: FileLibrary, d: tuple[int, ...]) -> BroadcastLog:
+    size = lib.file_len // p.F
+    classes = p.entries_by_color()
+    slots = []
+    for s in sorted(classes):
+        senders = tuple((j0 + 1, k0 + 1) for j0, k0 in classes[s])
+        payload = bytes(size)
+        for j, k in senders:
+            payload = _ref_xor(payload, lib.packet(d[k - 1], j, p.F))
+        slots.append(Slot(color=s, payload=payload, senders=senders))
+    return BroadcastLog(tuple(slots))
+
+
+def _ref_decode(p: PdaArray, caches, log: BroadcastLog, d: tuple[int, ...]) -> tuple[bytes, ...]:
+    out = []
+    for k in range(1, p.K + 1):
+        want = d[k - 1]
+        cache = caches[k - 1]
+        parts = []
+        for j in range(1, p.F + 1):
+            e = p.grid[j - 1][k - 1]
+            if e is None:
+                parts.append(cache[(want, j)])
+                continue
+            slot = log.slots[e - 1]
+            acc = slot.payload
+            for j2, k2 in slot.senders:
+                if k2 == k:
+                    continue
+                key = (d[k2 - 1], j2)
+                if key not in cache:
+                    raise DecodingError(user=k, packet=key, slot=e)
+                acc = _ref_xor(acc, cache[key])
+            parts.append(acc)
+        out.append(b"".join(parts))
+    return tuple(out)
+
+
+def _decoded(run):
+    """Decoded files, or the DecodingError's (user, packet, slot, message)."""
+    try:
+        return run()
+    except DecodingError as exc:
+        return (exc.user, exc.packet, exc.slot, str(exc))
+
+
+def _assert_matches_reference(p: PdaArray, lib: FileLibrary, demands) -> int:
+    """Compare every slot and decoding with the reference; return the error count."""
+    caches, ref_caches = place(p, lib), _ref_place(p, lib)
+    errors = 0
+    for d in demands:
+        log, ref_log = deliver(p, lib, d), _ref_deliver(p, lib, d)
+        assert log == ref_log, d
+        assert all(type(slot.payload) is bytes for slot in log.slots)
+        got = _decoded(lambda: decode(p, caches, log, d))
+        assert got == _decoded(lambda: _ref_decode(p, ref_caches, ref_log, d)), d
+        errors += not isinstance(got[0], bytes)
+    return errors
+
+
+def test_fast_path_matches_reference_on_the_roundtrip_catalog():
+    for p, n_files in _roundtrip_catalog():
+        lib = FileLibrary.for_array(p, n_files, seed=103, bytes_per_packet=2)
+        assert _assert_matches_reference(p, lib, _policy_demands(p, n_files)) == 0
+
+
+@pytest.mark.parametrize("packet_bytes", [1, 3, 256])
+def test_fast_path_matches_reference_on_the_simulated_array(packet_bytes):
+    p = coloring_to_pda(cycle_product(disjoint_union_coloring(5, 1, 2), 6))
+    assert (p.K, p.F, p.S) == (60, 30, 80)
+    lib = FileLibrary.for_array(p, 4, seed=packet_bytes, bytes_per_packet=packet_bytes)
+    demands = random_demands(4, p.K, 12 if packet_bytes == 256 else 40, seed=104 + packet_bytes)
+    assert _assert_matches_reference(p, lib, demands) == 0
+
+
+def _star_to_color(p: PdaArray, rng: random.Random) -> PdaArray:
+    """p with one seeded star replaced by an existing color: usually breaks A, B or C."""
+    stars = [(j, k) for j, row in enumerate(p.grid) for k, e in enumerate(row) if e is None]
+    j, k = rng.choice(stars)
+    rows = [list(row) for row in p.grid]
+    rows[j][k] = rng.randint(1, p.S)
+    return PdaArray.from_rows(rows)
+
+
+def test_fast_path_matches_reference_on_condition_c_violations():
+    broken = [PdaArray.from_rows([[1, 2], [2, 1]]), PdaArray.from_rows([[1], [1]])]
+    rng = random.Random(105)
+    for p, _ in _roundtrip_catalog():
+        if p.S and p.star_count(0):
+            broken += [_star_to_color(p, rng) for _ in range(6)]
+    errors = 0
+    for p in broken:
+        lib = FileLibrary.for_array(p, 2, seed=106, bytes_per_packet=3)
+        errors += _assert_matches_reference(p, lib, random_demands(2, p.K, 64, seed=107))
+    assert errors > 0
