@@ -29,6 +29,9 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
+# `simulate` draws its whole library (N files of F one-byte packets) before the first demand.
+LIBRARY_CAP_BYTES = 2**20
+
 
 class UsageError(Exception):
     pass
@@ -88,6 +91,9 @@ def _cmd_simulate(args) -> int:
     if args.files < 1:
         raise UsageError("--files must be at least 1")
     p = _load(args.file)
+    if args.files * p.F > LIBRARY_CAP_BYTES:
+        raise UsageError(f"--files {args.files} needs a library of {args.files * p.F} bytes; "
+                         f"the cap is {LIBRARY_CAP_BYTES}")
     pr = params(p)
     lib = scheme.FileLibrary.for_array(p, args.files, args.seed)
     total = failures = 0
@@ -201,7 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="run placement, delivery, and decoding")
     s.add_argument("file")
-    s.add_argument("--files", type=int, required=True, help="library size N")
+    s.add_argument("--files", type=int, required=True,
+                   help=f"library size N; the N files of F one-byte packets may total at most "
+                        f"{LIBRARY_CAP_BYTES} bytes")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--demand", help="comma-separated demand vector")
     s.add_argument("--exhaustive", action="store_true", help="run all N^K demand vectors")

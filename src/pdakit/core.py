@@ -16,10 +16,12 @@ combinator in this package.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, compress
 from typing import Iterable, Mapping, Optional
 
 # A grid entry: None encodes the star symbol, integers >= 1 are colors.
@@ -118,15 +120,18 @@ class PdaArray:
 
     Construction enforces structural well-formedness only (rectangular shape,
     colors >= 1 with no gaps); conditions A, B, C are checked by
-    :func:`validate`.  ``legend`` optionally maps each dense color index back
-    to the structured label it replaced (set by graph-to-PDA conversion) and
-    does not participate in equality.
+    :func:`validate`, which keeps its report on the array, so each array is
+    scanned at most once.  ``legend`` optionally maps each dense color index
+    back to the structured label it replaced (set by graph-to-PDA conversion)
+    and does not participate in equality.
     """
 
     grid: tuple[tuple[Entry, ...], ...]
     legend: Optional[Mapping[int, object]] = field(default=None, compare=False)
     # Number of distinct colors present, counted by the pass that checks the grid.
     S: int = field(init=False, repr=False, compare=False)
+    # The report of validate's first scan; never the graph oracle's verdict.
+    _report: Optional[ValidationReport] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Rows are stored as tuples, so no caller's list can change a checked
@@ -167,9 +172,6 @@ class PdaArray:
         """Column count (users)."""
         return len(self.grid[0])
 
-    def column(self, k: int) -> tuple[Entry, ...]:
-        return tuple(row[k] for row in self.grid)
-
     @cached_property
     def _star_counts(self) -> tuple[int, ...]:
         """Stars per column, counted in one pass over the grid on first access."""
@@ -183,7 +185,7 @@ class PdaArray:
         """Per color 1..S, its 1-based (row, column) cells in row-major order.
 
         Built on first use and kept with the array, for the protocol simulator;
-        the validators use the transient :meth:`entries_by_color` instead.
+        :func:`validate` uses the transient :meth:`entries_by_color` instead.
         """
         classes = self.entries_by_color()
         return tuple(tuple((j + 1, k + 1) for j, k in classes[s]) for s in range(1, self.S + 1))
@@ -199,9 +201,9 @@ class PdaArray:
         """Map color -> 0-based (row, col) positions, in row-major order."""
         classes: dict[int, list[tuple[int, int]]] = {}
         for j, row in enumerate(self.grid):
-            for k, e in enumerate(row):
-                if e is not None:
-                    classes.setdefault(e, []).append((j, k))
+            # Colors are >= 1, so a row is its own selector of colored cells.
+            for k, e in compress(enumerate(row), row):
+                classes.setdefault(e, []).append((j, k))
         return classes
 
     def __str__(self) -> str:
@@ -216,8 +218,15 @@ def validate(p: PdaArray) -> ValidationReport:
     Condition A is interpreted as "all columns contain the same number of
     stars"; Z is measured from the array, never taken from metadata.  The scan
     over all pairs of equal entries is O(F^2 K^2) in the worst case and shares
-    no logic with any construction in this package.
+    no logic with any construction in this package.  It runs once per array:
+    the report is kept on ``p`` and returned again by later calls.
     """
+    if p._report is None:
+        object.__setattr__(p, "_report", ValidationReport(tuple(_grid_violations(p))))
+    return p._report
+
+
+def _grid_violations(p: PdaArray) -> list[Violation]:
     violations: list[Violation] = []
 
     counts = [p.star_count(k) for k in range(p.K)]
@@ -262,7 +271,7 @@ def validate(p: PdaArray) -> ValidationReport:
                             f"color {color}: non-star corner at {at}",
                         )
                     )
-    return ValidationReport(tuple(violations))
+    return violations
 
 
 def params(p: PdaArray) -> ParamRecord:
@@ -293,11 +302,17 @@ class _Budget:
         return self.remaining >= 0
 
 
-def _signature(line: tuple[Entry, ...], class_sizes: dict[int, int]) -> tuple:
+def _signature(line: tuple[Entry, ...], class_sizes: Mapping[Entry, int]) -> tuple:
     """Star count and sorted color-class sizes of one row or column."""
-    stars = sum(1 for e in line if e is None)
-    profile = tuple(sorted(class_sizes[e] for e in line if e is not None))
-    return (stars, profile)
+    return (line.count(None), tuple(sorted(map(class_sizes.__getitem__, filter(None, line)))))
+
+
+def _candidates(sig1: list[tuple], sig2: list[tuple]) -> list[list[int]]:
+    """Per line of p1, the lines of p2 with its signature in index order (lists are shared)."""
+    buckets: dict[tuple, list[int]] = {}
+    for i, sig in enumerate(sig2):
+        buckets.setdefault(sig, []).append(i)
+    return [buckets[sig] for sig in sig1]
 
 
 def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> EquivalenceResult:
@@ -308,13 +323,19 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
     the number of attempted assignments exceeds ``budget`` the search gives up
     and reports BUDGET_EXHAUSTED.  Intended for the small arrays this package
     works with (roughly up to 12 x 12).
+
+    The set-up is linear in the cells (one count, one transpose, one signature
+    bucketing per side).  Results and budget accounting, BUDGET_EXHAUSTED at a
+    given budget included, match the per-cell search it replaced, which
+    test_equivalent_matches_the_reference_search keeps as the reference.
     """
     pr1, pr2 = params(p1), params(p2)
     if (pr1.K, pr1.F, pr1.Z, pr1.S) != (pr2.K, pr2.F, pr2.Z, pr2.S):
         return EquivalenceResult.INEQUIVALENT
 
-    sizes1 = {c: len(cells) for c, cells in p1.entries_by_color().items()}
-    sizes2 = {c: len(cells) for c, cells in p2.entries_by_color().items()}
+    sizes1, sizes2 = Counter(chain.from_iterable(p1.grid)), Counter(chain.from_iterable(p2.grid))
+    sizes1.pop(None, None)
+    sizes2.pop(None, None)
     if sorted(sizes1.values()) != sorted(sizes2.values()):
         return EquivalenceResult.INEQUIVALENT
 
@@ -322,49 +343,45 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
     rsig2 = [_signature(row, sizes2) for row in p2.grid]
     if sorted(rsig1) != sorted(rsig2):
         return EquivalenceResult.INEQUIVALENT
-    csig1 = [_signature(p1.column(k), sizes1) for k in range(p1.K)]
-    csig2 = [_signature(p2.column(k), sizes2) for k in range(p2.K)]
+    cols1, cols2 = list(zip(*p1.grid)), list(zip(*p2.grid))
+    csig1 = [_signature(col, sizes1) for col in cols1]
+    csig2 = [_signature(col, sizes2) for col in cols2]
     if sorted(csig1) != sorted(csig2):
         return EquivalenceResult.INEQUIVALENT
 
     budget_box = _Budget(budget)
-    row_candidates = [
-        [r for r in range(p2.F) if rsig2[r] == rsig1[j]] for j in range(p1.F)
-    ]
+    row_candidates = _candidates(rsig1, rsig2)
     row_order = sorted(range(p1.F), key=lambda j: len(row_candidates[j]))
 
     row_map: list[int] = [-1] * p1.F
     used_rows = [False] * p2.F
 
-    col_candidates_base = [
-        [c for c in range(p2.K) if csig2[c] == csig1[k]] for k in range(p1.K)
-    ]
+    col_candidates_base = _candidates(csig1, csig2)
     col_order = sorted(range(p1.K), key=lambda k: len(col_candidates_base[k]))
 
-    star_rows1 = [frozenset(j for j in range(p1.F) if p1.grid[j][k] is None) for k in range(p1.K)]
-    star_rows2 = [frozenset(j for j in range(p2.F) if p2.grid[j][k] is None) for k in range(p2.K)]
+    # Columns are matched once every row is, so row_map is then a bijection and
+    # column k's star rows map onto column c's exactly when its colored rows do;
+    # each colored cell of k then lands on a colored cell of c.  Colors are >= 1,
+    # so a column is its own selector of colored cells.
+    cells1 = [list(compress(enumerate(col), col)) for col in cols1]
+    colored_rows2 = [frozenset(compress(range(p2.F), col)) for col in cols2]
 
     def assign_columns(idx: int, col_map: dict[int, int], used_cols: list[bool],
                        fwd: dict[int, int], bwd: dict[int, int]) -> Optional[bool]:
         if idx == p1.K:
             return True
         k = col_order[idx]
-        image = frozenset(row_map[j] for j in star_rows1[k])
+        cells = cells1[k]
+        image = frozenset([row_map[j] for j, _ in cells])
         for c in col_candidates_base[k]:
-            if used_cols[c] or star_rows2[c] != image:
+            if used_cols[c] or colored_rows2[c] != image:
                 continue
             if not budget_box.spend():
                 return None
             added: list[int] = []
             ok = True
-            for j in range(p1.F):
-                e1 = p1.grid[j][k]
-                if e1 is None:
-                    continue
+            for j, e1 in cells:
                 e2 = p2.grid[row_map[j]][c]
-                if e2 is None:
-                    ok = False
-                    break
                 if e1 in fwd:
                     if fwd[e1] != e2:
                         ok = False

@@ -44,23 +44,25 @@ def intersection_t_coloring(n: int, a: int, b: int, t: int) -> ColoredBipartiteG
     """Rows a-subsets, columns b-subsets, edge iff the intersection has size t.
 
     The color of an edge (A, B) is the pair (symmetric difference, A intersect B),
-    so every column vertex has degree C(b, t) * C(n - b, a - t).
+    so every column vertex has degree C(b, t) * C(n - b, a - t).  Built per
+    edge: each B meeting A in t elements is a t-subset T of A joined with a
+    (b - t)-subset W of A's complement, and then the symmetric difference is
+    (A minus T) u W (checked against the per-cell scan by
+    test_intersection_t_per_edge_build_equals_the_per_cell_scan).
     """
     if not (0 < a < n and 0 < b < n):
         raise FamilyParameterError(f"need 0 < a, b < n, got n={n} a={a} b={b}")
     if not (0 <= t <= min(a, b) and a + b - t <= n):
         raise FamilyParameterError(f"need 0 <= t <= min(a, b) and a + b - t <= n, got t={t}")
     left = subsets(n, a)
-    right = subsets(n, b)
     triples = []
     for A in left:
-        sa = set(A)
-        for B in right:
-            inter = sa & set(B)
-            if len(inter) == t:
-                diff = tuple(sorted(sa.symmetric_difference(B)))
-                triples.append((A, B, (diff, tuple(sorted(inter)))))
-    return ColoredBipartiteGraph(left, right, frozenset(triples))
+        rest = [x for x in range(1, n + 1) if x not in A]
+        for T in combinations(A, t):
+            only_a = tuple(x for x in A if x not in T)
+            for W in combinations(rest, b - t):
+                triples.append((A, tuple(sorted(T + W)), (tuple(sorted(only_a + W)), T)))
+    return ColoredBipartiteGraph(left, subsets(n, b), frozenset(triples))
 
 
 def restricted_combined_family(n: int, a: int, b: int, t: int) -> PdaArray:

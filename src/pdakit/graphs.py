@@ -77,6 +77,8 @@ class ColoredBipartiteGraph:
     triples: frozenset[tuple[Label, Label, Label]]
     _edges: list[tuple[int, int, int]] = field(init=False, repr=False, compare=False)
     _palette: tuple[Label, ...] = field(init=False, repr=False, compare=False)
+    # The report of is_strong_coloring's first scan; never the grid oracle's verdict.
+    _strength: Optional[ValidationReport] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         row = {l: j for j, l in enumerate(self.left)}
@@ -112,6 +114,7 @@ class ColoredGraph:
     colored_edges: frozenset[tuple[frozenset[Label], Label]]
     _edges: list[tuple[int, int, int]] = field(init=False, repr=False, compare=False)
     _palette: tuple[Label, ...] = field(init=False, repr=False, compare=False)
+    _strength: Optional[ValidationReport] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = {v: i for i, v in enumerate(self.vertices)}
@@ -192,11 +195,13 @@ def is_strong_coloring(g: ColoredBipartiteGraph | ColoredGraph) -> ValidationRep
     other.  Witnesses come out in declared order: colors by their first edge,
     and within a color the pairs of edges in edge order, where edges are
     ordered row-major over a bipartite graph's sides and by endpoint position
-    in a general graph's ``vertices``.
+    in a general graph's ``vertices``.  The scan runs once per graph: the
+    report is kept on ``g`` and returned again by later calls.
     """
-    if isinstance(g, ColoredBipartiteGraph):
-        return ValidationReport(tuple(_strong_violations_bipartite(g)))
-    return ValidationReport(tuple(_strong_violations_general(g)))
+    if g._strength is None:
+        scan = _strong_violations_bipartite if isinstance(g, ColoredBipartiteGraph) else _strong_violations_general
+        object.__setattr__(g, "_strength", ValidationReport(tuple(scan(g))))
+    return g._strength
 
 
 def pda_to_coloring(p: PdaArray) -> ColoredBipartiteGraph:

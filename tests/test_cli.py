@@ -196,6 +196,29 @@ def test_simulate_checks_its_array_once(ex1_file, monkeypatch):
     assert len(scans) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["combine", "--mode", "same-colors", "{ex1}", "{ex1}"],
+        ["combine", "--mode", "star", "{strip}", "{strip}", "{ex1}"],
+        ["combine", "--mode", "tensor", "{strip}", "{ex1}"],
+        ["combine", "--mode", "cycle", "--m", "3", "{ex1}"],
+        ["equiv", "{ex1}", "{strip}"],
+        ["equiv", "{ex1}", "{ex1}"],
+    ],
+    ids=["same-colors", "star", "tensor", "cycle", "equiv-inequivalent", "equiv-equivalent"],
+)
+def test_pipelines_scan_each_object_at_most_once(tmp_path, scans, argv):
+    (tmp_path / "ex1.pda").write_text(EX1_TEXT)
+    (tmp_path / "strip.pda").write_text(STRIP_TEXT)
+    argv = [arg.format(ex1=tmp_path / "ex1.pda", strip=tmp_path / "strip.pda") for arg in argv]
+    if argv[0] == "combine":
+        argv += ["-o", str(tmp_path / "out.pda")]
+    assert main(argv) in (0, 1)
+    assert scans
+    assert len({id(obj) for obj in scans}) == len(scans)
+
+
 def test_simulate_exhaustive_streams_its_demands(ex1_file, monkeypatch):
     real_demands, real_roundtrip = scheme.exhaustive_demands, scheme.verify_roundtrip
     yielded, seen_at_first_run = [], []
@@ -221,6 +244,20 @@ def test_simulate_usage_errors(ex1_file):
     assert main(["simulate", ex1_file, "--files", "0"]) == 2
     assert main(["simulate", ex1_file, "--files", "2", "--demand", "1,2", "--exhaustive"]) == 2
     assert main(["simulate", ex1_file, "--files", "2", "--demand", "1,2,oops,1"]) == 2
+
+
+def test_simulate_refuses_a_library_over_the_cap_before_drawing_it(ex1_file, monkeypatch, capsys):
+    def no_library(*args):
+        raise AssertionError("the library was drawn")
+
+    monkeypatch.setattr(scheme.FileLibrary, "random", no_library)
+    assert main(["simulate", ex1_file, "--files", str(10**12)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --files 1000000000000 needs a library of 4000000000000 bytes")
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert f"{cli.LIBRARY_CAP_BYTES} bytes" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -254,7 +291,7 @@ DEMAND_PIECES = st.sampled_from(
 @given(
     name=st.sampled_from(["ex1", "strip", "broken", "trivial"]),
     demand=st.none() | st.text(max_size=12) | st.lists(DEMAND_PIECES, max_size=9).map("".join),
-    files=st.integers(min_value=0, max_value=5),
+    files=st.integers(min_value=0, max_value=5) | st.integers(min_value=cli.LIBRARY_CAP_BYTES + 1, max_value=10**30),
     seed=st.integers(min_value=-(2**70), max_value=2**70),
     exhaustive=st.booleans(),
 )

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdakit.combinators import cycle_product, star_product
 from pdakit.core import (
     EquivalenceResult,
     InvalidPdaError,
@@ -20,6 +22,14 @@ from pdakit.core import (
     validate,
     write_pda,
 )
+from pdakit.families import (
+    disjoint_union_coloring,
+    intersection_t_coloring,
+    restricted_combined_family,
+    star_graph_coloring,
+    trivial_pda,
+)
+from pdakit.graphs import coloring_to_pda, pda_to_coloring
 
 
 def test_example1_is_valid(example1):
@@ -197,6 +207,242 @@ def test_equivalence_invariant_under_random_relabeling(rnd):
     rnd.shuffle(shuffled_colors)
     other = apply_relabeling(p, row_perm, col_perm, dict(zip(colors, shuffled_colors)))
     assert equivalent(p, other) is EquivalenceResult.EQUIVALENT
+
+
+def test_validate_keeps_its_report_on_the_array(example1):
+    broken = PdaArray.from_rows([[1, 2], [2, 1]])
+    for p in (example1, broken):
+        assert validate(p) is validate(p)
+        fresh = PdaArray(p.grid)
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        assert str(validate(fresh)) == str(validate(p))
+    with pytest.raises(InvalidPdaError):
+        params(broken)
+
+
+def test_validate_params_and_equivalent_scan_an_array_once(example1, scans):
+    twin = apply_relabeling(example1, [3, 2, 1, 0], [1, 0, 3, 2], {1: 2, 2: 1, 3: 4, 4: 3})
+    assert validate(example1).is_valid
+    assert params(example1).S == 4
+    assert equivalent(example1, twin) is EquivalenceResult.EQUIVALENT
+    assert equivalent(twin, example1) is EquivalenceResult.EQUIVALENT
+    assert [id(p) for p in scans] == [id(example1), id(twin)]
+
+
+class _ReferenceBudget:
+    def __init__(self, limit: int):
+        self.remaining = limit
+
+    def spend(self) -> bool:
+        self.remaining -= 1
+        return self.remaining >= 0
+
+
+def _reference_signature(line, class_sizes) -> tuple:
+    stars = sum(1 for e in line if e is None)
+    profile = tuple(sorted(class_sizes[e] for e in line if e is not None))
+    return (stars, profile)
+
+
+def _reference_equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> EquivalenceResult:
+    """The search with its per-cell set-up: color classes as cell lists, one tuple per
+    column, F x F and K x K signature comparisons and star rows from index loops."""
+    pr1, pr2 = params(p1), params(p2)
+    if (pr1.K, pr1.F, pr1.Z, pr1.S) != (pr2.K, pr2.F, pr2.Z, pr2.S):
+        return EquivalenceResult.INEQUIVALENT
+
+    sizes1 = {c: len(cells) for c, cells in p1.entries_by_color().items()}
+    sizes2 = {c: len(cells) for c, cells in p2.entries_by_color().items()}
+    if sorted(sizes1.values()) != sorted(sizes2.values()):
+        return EquivalenceResult.INEQUIVALENT
+
+    rsig1 = [_reference_signature(row, sizes1) for row in p1.grid]
+    rsig2 = [_reference_signature(row, sizes2) for row in p2.grid]
+    if sorted(rsig1) != sorted(rsig2):
+        return EquivalenceResult.INEQUIVALENT
+    csig1 = [_reference_signature(tuple(row[k] for row in p1.grid), sizes1) for k in range(p1.K)]
+    csig2 = [_reference_signature(tuple(row[k] for row in p2.grid), sizes2) for k in range(p2.K)]
+    if sorted(csig1) != sorted(csig2):
+        return EquivalenceResult.INEQUIVALENT
+
+    budget_box = _ReferenceBudget(budget)
+    row_candidates = [[r for r in range(p2.F) if rsig2[r] == rsig1[j]] for j in range(p1.F)]
+    row_order = sorted(range(p1.F), key=lambda j: len(row_candidates[j]))
+
+    row_map: list[int] = [-1] * p1.F
+    used_rows = [False] * p2.F
+
+    col_candidates_base = [[c for c in range(p2.K) if csig2[c] == csig1[k]] for k in range(p1.K)]
+    col_order = sorted(range(p1.K), key=lambda k: len(col_candidates_base[k]))
+
+    star_rows1 = [frozenset(j for j in range(p1.F) if p1.grid[j][k] is None) for k in range(p1.K)]
+    star_rows2 = [frozenset(j for j in range(p2.F) if p2.grid[j][k] is None) for k in range(p2.K)]
+
+    def assign_columns(idx, col_map, used_cols, fwd, bwd):
+        if idx == p1.K:
+            return True
+        k = col_order[idx]
+        image = frozenset(row_map[j] for j in star_rows1[k])
+        for c in col_candidates_base[k]:
+            if used_cols[c] or star_rows2[c] != image:
+                continue
+            if not budget_box.spend():
+                return None
+            added = []
+            ok = True
+            for j in range(p1.F):
+                e1 = p1.grid[j][k]
+                if e1 is None:
+                    continue
+                e2 = p2.grid[row_map[j]][c]
+                if e2 is None:
+                    ok = False
+                    break
+                if e1 in fwd:
+                    if fwd[e1] != e2:
+                        ok = False
+                        break
+                elif e2 in bwd:
+                    ok = False
+                    break
+                else:
+                    fwd[e1] = e2
+                    bwd[e2] = e1
+                    added.append(e1)
+            if ok:
+                used_cols[c] = True
+                col_map[k] = c
+                sub = assign_columns(idx + 1, col_map, used_cols, fwd, bwd)
+                if sub:
+                    return True
+                used_cols[c] = False
+                del col_map[k]
+                if sub is None:
+                    return None
+            for e1 in added:
+                del bwd[fwd[e1]]
+                del fwd[e1]
+        return False
+
+    def assign_rows(idx):
+        if idx == p1.F:
+            return assign_columns(0, {}, [False] * p2.K, {}, {})
+        j = row_order[idx]
+        for r in row_candidates[j]:
+            if used_rows[r]:
+                continue
+            if not budget_box.spend():
+                return None
+            row_map[j] = r
+            used_rows[r] = True
+            sub = assign_rows(idx + 1)
+            if sub:
+                return True
+            used_rows[r] = False
+            row_map[j] = -1
+            if sub is None:
+                return None
+        return False
+
+    outcome = assign_rows(0)
+    if outcome is None:
+        return EquivalenceResult.BUDGET_EXHAUSTED
+    return EquivalenceResult.EQUIVALENT if outcome else EquivalenceResult.INEQUIVALENT
+
+
+def _rows(text: str) -> PdaArray:
+    """An array written as rows joined by '|', entries by spaces, '*' for a star."""
+    return PdaArray.from_rows(
+        [[None if tok == "*" else int(tok) for tok in row.split()] for row in text.split("|")]
+    )
+
+
+def _seeded_relabeling(p: PdaArray, seed: int) -> PdaArray:
+    rng = random.Random(seed)
+    rows, cols, colors = list(range(p.F)), list(range(p.K)), list(range(1, p.S + 1))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    rng.shuffle(colors)
+    return apply_relabeling(p, rows, cols, dict(zip(range(1, p.S + 1), colors)))
+
+
+# Valid arrays with equal (K, F, Z, S), class sizes and row and column signatures
+# that no relabeling maps onto each other, so the search itself must say so.
+_INEQUIVALENT_SAME_SIGNATURES = [
+    ("1 * 4 *|* 4 * 1|3 * 2 *|* 2 * 3", "* 2 * 4|2 * 4 *|* 1 3 *|1 * * 3"),
+    ("2 * * * * *|3 1 * * 5 7|* * 2 7 6 *|* 6 3 5 * 4", "* 6 * 3 5 1|* 2 1 * 4 *|7 * 6 4 * 2|5 * * * * *"),
+    ("5 3 * * *|* * * * 2|* * 5 3 4|1 * * 2 *|* 2 1 * *", "* 1 3 * *|1 * * * 5|2 4 * * 3|* * 5 2 *|* * * 1 *"),
+    (
+        "* * 6 2 * *|12 2 7 * 5 10|9 13 11 * 14 8|3 1 * 7 6 4|* * * * * *|* * * 8 * *",
+        "8 5 4 13 * 9|1 * 3 6 7 14|* 10 * * * *|10 * 2 11 5 12|* * * * * *|* 6 * * 4 *",
+    ),
+    (
+        "* * * * 3 * * *|* * 7 * * 6 * *|5 1 * * * * 3 *|2 * * 7 * * * 3|* * * 1 * 4 * *|* 4 8 * 5 * 2 6",
+        "5 * * * * * * *|* 7 * * * * * 2|* * 6 * 1 * * *|* * * 4 * 1 5 *|3 4 * * 8 6 2 *|* * 3 7 * * * 5",
+    ),
+]
+
+
+def _equivalence_corpus() -> list[tuple[str, PdaArray, PdaArray]]:
+    from conftest import EXAMPLE1_ROWS, STRIP_ROWS
+
+    trivial = pda_to_coloring(trivial_pda())
+    pool = {
+        "example1": PdaArray.from_rows(EXAMPLE1_ROWS),
+        "strip": PdaArray.from_rows(STRIP_ROWS),
+        "trivial": trivial_pda(),
+        "du-4-1-2": coloring_to_pda(disjoint_union_coloring(4, 1, 2)),
+        "du-5-1-2": coloring_to_pda(disjoint_union_coloring(5, 1, 2)),
+        "du-5-2-2": coloring_to_pda(disjoint_union_coloring(5, 2, 2)),
+        "it-4-2-2-1": coloring_to_pda(intersection_t_coloring(4, 2, 2, 1)),
+        "star-graph-4": coloring_to_pda(star_graph_coloring(4)),
+        "cycle-3": coloring_to_pda(cycle_product(trivial, 3)),
+        "star-2": coloring_to_pda(star_product([trivial] * 2)),
+        "rc-4-1-2-1": restricted_combined_family(4, 1, 2, 1),
+        "stars": PdaArray.from_rows([[None]] * 3),
+        "row": PdaArray.from_rows([[1, 2, 3]]),
+    }
+    corpus = []
+    for name, p in pool.items():
+        corpus.append((f"{name}/self", p, p))
+        for seed in (1, 5):
+            corpus.append((f"{name}/relabel-{seed}", p, _seeded_relabeling(p, seed)))
+    corpus.append(("3x3/rows-differ", _rows("* * *|* * *|1 2 3"), _rows("* * *|* * 1|2 3 *")))
+    for i, (a, b) in enumerate(_INEQUIVALENT_SAME_SIGNATURES):
+        corpus.append((f"same-signatures-{i}", _rows(a), _rows(b)))
+    return corpus
+
+
+def _exhaustion_point(p1: PdaArray, p2: PdaArray) -> int:
+    """The least budget at which the reference search reaches a verdict."""
+    hi = 1
+    while _reference_equivalent(p1, p2, hi) is EquivalenceResult.BUDGET_EXHAUSTED:
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _reference_equivalent(p1, p2, mid) is EquivalenceResult.BUDGET_EXHAUSTED:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def test_equivalent_matches_the_reference_search():
+    outcomes = Counter()
+    for name, p1, p2 in _equivalence_corpus():
+        point = _exhaustion_point(p1, p2)
+        for budget in [*range(max(0, point - 24), point + 3), 1_000_000]:
+            expected = _reference_equivalent(p1, p2, budget)
+            assert equivalent(p1, p2, budget) is expected, (name, budget)
+            outcomes[expected] += 1
+        assert point == 0 or equivalent(p1, p2, point - 1) is EquivalenceResult.BUDGET_EXHAUSTED, name
+    # The corpus reaches all three verdicts, and the search itself (not only the
+    # signature filter) rejects the same-signature pairs.
+    assert set(outcomes) == set(EquivalenceResult)
+    for i, (a, b) in enumerate(_INEQUIVALENT_SAME_SIGNATURES):
+        assert _exhaustion_point(_rows(a), _rows(b)) > 0, i
+        assert equivalent(_rows(a), _rows(b)) is EquivalenceResult.INEQUIVALENT, i
 
 
 def test_write_then_read_is_identity(example1):

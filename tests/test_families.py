@@ -107,6 +107,33 @@ def test_intersection_t_diagonal_case():
     assert (pr.K, pr.F, pr.Z, pr.S) == (6, 6, 5, 6)
 
 
+def _per_cell_intersection_t(n: int, a: int, b: int, t: int) -> ColoredBipartiteGraph:
+    """Visit every (A, B) cell and keep the pairs meeting in t elements."""
+    left, right = subsets(n, a), subsets(n, b)
+    triples = []
+    for A in left:
+        sa = set(A)
+        for B in right:
+            inter = sa & set(B)
+            if len(inter) == t:
+                diff = tuple(sorted(sa.symmetric_difference(B)))
+                triples.append((A, B, (diff, tuple(sorted(inter)))))
+    return ColoredBipartiteGraph(left, right, frozenset(triples))
+
+
+def test_intersection_t_per_edge_build_equals_the_per_cell_scan():
+    legal = 0
+    for n in range(2, 8):
+        for a in range(1, n):
+            for b in range(1, n):
+                for t in range(0, min(a, b) + 1):
+                    if a + b - t > n:
+                        continue
+                    assert intersection_t_coloring(n, a, b, t) == _per_cell_intersection_t(n, a, b, t), (n, a, b, t)
+                    legal += 1
+    assert legal == 217
+
+
 def test_intersection_t_rejects_bad_ranges():
     with pytest.raises(FamilyParameterError):
         intersection_t_coloring(4, 4, 2, 1)

@@ -145,6 +145,35 @@ def test_cross_oracle_agreement_targeted(example1):
     assert not is_strong_coloring(pda_to_coloring(bad)).is_valid
 
 
+def test_each_graph_keeps_its_strength_report(example1):
+    swap = PdaArray.from_rows([[1, 2], [2, 1]])
+    for build in (
+        lambda: pda_to_coloring(example1),
+        lambda: pda_to_coloring(swap),
+        lambda: as_general_graph(pda_to_coloring(example1)),
+        lambda: as_general_graph(pda_to_coloring(swap)),
+    ):
+        g, fresh = build(), build()
+        assert is_strong_coloring(g) is is_strong_coloring(g)
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+        assert str(is_strong_coloring(fresh)) == str(is_strong_coloring(g))
+    # Each object keeps only its own oracle's verdict: converting a checked
+    # graph leaves the array unvalidated, and viewing a validated array as a
+    # graph leaves the graph unchecked.
+    validate(example1)
+    assert coloring_to_pda(pda_to_coloring(example1))._report is None
+    assert pda_to_coloring(example1)._strength is None
+
+
+def test_a_checked_graph_converts_without_a_second_scan(scans):
+    g = disjoint_union_coloring(5, 1, 2)
+    assert is_strong_coloring(g).is_valid
+    p = coloring_to_pda(g)
+    assert [id(obj) for obj in scans] == [id(g)]
+    assert validate(p).is_valid
+    assert [id(obj) for obj in scans] == [id(g), id(p)]
+
+
 def _constant_right_degree(p: PdaArray) -> bool:
     degrees = {k: sum(1 for j in range(p.F) if p.grid[j][k] is not None) for k in range(p.K)}
     return len(set(degrees.values())) == 1
