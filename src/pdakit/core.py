@@ -20,9 +20,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress
-from typing import Iterable, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 # A grid entry: None encodes the star symbol, integers >= 1 are colors.
 Entry = Optional[int]
@@ -158,10 +158,6 @@ class PdaArray:
             raise PdaError("legend keys must be exactly the colors present")
         object.__setattr__(self, "S", len(seen))
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Entry]], legend: Optional[Mapping[int, object]] = None) -> "PdaArray":
-        return cls(rows, legend)
-
     @property
     def F(self) -> int:
         """Row count (subpacketization)."""
@@ -291,17 +287,6 @@ class EquivalenceResult(Enum):
         return self.value
 
 
-class _Budget:
-    __slots__ = ("remaining",)
-
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def spend(self) -> bool:
-        self.remaining -= 1
-        return self.remaining >= 0
-
-
 def _signature(line: tuple[Entry, ...], class_sizes: Mapping[Entry, int]) -> tuple:
     """Star count and sorted color-class sizes of one row or column."""
     return (line.count(None), tuple(sorted(map(class_sizes.__getitem__, filter(None, line)))))
@@ -319,15 +304,17 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
     """Decide whether a row permutation, column permutation, and color bijection map p1 to p2.
 
     Backtracking search pruned on row and column star/color-multiplicity
-    signatures.  Parameter-distinct inputs are rejected without search.  When
-    the number of attempted assignments exceeds ``budget`` the search gives up
-    and reports BUDGET_EXHAUSTED.  Intended for the small arrays this package
-    works with (roughly up to 12 x 12).
+    signatures: rows first, then columns, each level matched against the
+    candidates with its signature.  Parameter-distinct inputs are rejected
+    without search.  When the number of attempted assignments exceeds
+    ``budget`` the search gives up and reports BUDGET_EXHAUSTED.  The search
+    stack is a list with one generator per matched row or column, so its
+    depth (F + K) meets no recursion limit.
 
     The set-up is linear in the cells (one count, one transpose, one signature
     bucketing per side).  Results and budget accounting, BUDGET_EXHAUSTED at a
-    given budget included, match the per-cell search it replaced, which
-    test_equivalent_matches_the_reference_search keeps as the reference.
+    given budget included, match the recursive per-cell search it replaced,
+    which test_equivalent_matches_the_reference_search keeps as the reference.
     """
     pr1, pr2 = params(p1), params(p2)
     if (pr1.K, pr1.F, pr1.Z, pr1.S) != (pr2.K, pr2.F, pr2.Z, pr2.S):
@@ -349,15 +336,10 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
     if sorted(csig1) != sorted(csig2):
         return EquivalenceResult.INEQUIVALENT
 
-    budget_box = _Budget(budget)
     row_candidates = _candidates(rsig1, rsig2)
     row_order = sorted(range(p1.F), key=lambda j: len(row_candidates[j]))
-
-    row_map: list[int] = [-1] * p1.F
-    used_rows = [False] * p2.F
-
-    col_candidates_base = _candidates(csig1, csig2)
-    col_order = sorted(range(p1.K), key=lambda k: len(col_candidates_base[k]))
+    col_candidates = _candidates(csig1, csig2)
+    col_order = sorted(range(p1.K), key=lambda k: len(col_candidates[k]))
 
     # Columns are matched once every row is, so row_map is then a bijection and
     # column k's star rows map onto column c's exactly when its colored rows do;
@@ -365,19 +347,28 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
     # so a column is its own selector of colored cells.
     cells1 = [list(compress(enumerate(col), col)) for col in cols1]
     colored_rows2 = [frozenset(compress(range(p2.F), col)) for col in cols2]
+    row_map = [-1] * p1.F
+    used_rows, used_cols = [False] * p2.F, [False] * p2.K
+    fwd: dict[int, int] = {}
+    bwd: dict[int, int] = {}
 
-    def assign_columns(idx: int, col_map: dict[int, int], used_cols: list[bool],
-                       fwd: dict[int, int], bwd: dict[int, int]) -> Optional[bool]:
-        if idx == p1.K:
-            return True
-        k = col_order[idx]
+    # One generator per search level.  Each yields once per candidate it tries
+    # (True when assigned, False when the column's colors clash) and undoes
+    # that candidate when resumed.
+    def match_row(j: int) -> Iterator[bool]:
+        for r in row_candidates[j]:
+            if not used_rows[r]:
+                row_map[j] = r
+                used_rows[r] = True
+                yield True
+                used_rows[r] = False
+
+    def match_column(k: int) -> Iterator[bool]:
         cells = cells1[k]
         image = frozenset([row_map[j] for j, _ in cells])
-        for c in col_candidates_base[k]:
+        for c in col_candidates[k]:
             if used_cols[c] or colored_rows2[c] != image:
                 continue
-            if not budget_box.spend():
-                return None
             added: list[int] = []
             ok = True
             for j, e1 in cells:
@@ -393,45 +384,28 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
                     fwd[e1] = e2
                     bwd[e2] = e1
                     added.append(e1)
-            if ok:
-                used_cols[c] = True
-                col_map[k] = c
-                sub = assign_columns(idx + 1, col_map, used_cols, fwd, bwd)
-                if sub:
-                    return True
-                used_cols[c] = False
-                del col_map[k]
-                if sub is None:
-                    return None
+            used_cols[c] = ok
+            yield ok
+            used_cols[c] = False
             for e1 in added:
                 del bwd[fwd[e1]]
                 del fwd[e1]
-        return False
 
-    def assign_rows(idx: int) -> Optional[bool]:
-        if idx == p1.F:
-            return assign_columns(0, {}, [False] * p2.K, {}, {})
-        j = row_order[idx]
-        for r in row_candidates[j]:
-            if used_rows[r]:
-                continue
-            if not budget_box.spend():
-                return None
-            row_map[j] = r
-            used_rows[r] = True
-            sub = assign_rows(idx + 1)
-            if sub:
-                return True
-            used_rows[r] = False
-            row_map[j] = -1
-            if sub is None:
-                return None
-        return False
-
-    outcome = assign_rows(0)
-    if outcome is None:
-        return EquivalenceResult.BUDGET_EXHAUSTED
-    return EquivalenceResult.EQUIVALENT if outcome else EquivalenceResult.INEQUIVALENT
+    levels = [partial(match_row, j) for j in row_order] + [partial(match_column, k) for k in col_order]
+    stack = [levels[0]()]
+    while stack:
+        assigned = next(stack[-1], None)
+        if assigned is None:
+            stack.pop()
+            continue
+        budget -= 1
+        if budget < 0:
+            return EquivalenceResult.BUDGET_EXHAUSTED
+        if assigned:
+            if len(stack) == len(levels):
+                return EquivalenceResult.EQUIVALENT
+            stack.append(levels[len(stack)]())
+    return EquivalenceResult.INEQUIVALENT
 
 
 _HEADER_RE = re.compile(r"^K=([0-9]+) F=([0-9]+) Z=([0-9]+) S=([0-9]+)$")

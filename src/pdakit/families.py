@@ -26,18 +26,20 @@ def subsets(n: int, k: int) -> tuple[SubsetLabel, ...]:
 
 
 def disjoint_union_coloring(n: int, a: int, b: int) -> ColoredBipartiteGraph:
-    """Rows a-subsets, columns b-subsets, edge iff disjoint, color = union."""
+    """Rows a-subsets, columns b-subsets, edge iff disjoint, color = union.
+
+    Built per edge: the columns meeting A are the b-subsets of A's complement
+    (checked against the per-cell scan by
+    test_disjoint_union_per_edge_build_equals_the_per_cell_scan).
+    """
     if a < 1 or b < 1 or a + b > n:
         raise FamilyParameterError(f"need a, b >= 1 and a + b <= n, got n={n} a={a} b={b}")
     left = subsets(n, a)
-    right = subsets(n, b)
-    triples = frozenset(
-        (A, B, tuple(sorted(A + B)))
-        for A in left
-        for B in right
-        if not set(A) & set(B)
-    )
-    return ColoredBipartiteGraph(left, right, triples)
+    triples = []
+    for A in left:
+        rest = [x for x in range(1, n + 1) if x not in A]
+        triples.extend((A, B, tuple(sorted(A + B))) for B in combinations(rest, b))
+    return ColoredBipartiteGraph(left, subsets(n, b), frozenset(triples))
 
 
 def intersection_t_coloring(n: int, a: int, b: int, t: int) -> ColoredBipartiteGraph:
@@ -94,7 +96,7 @@ def restricted_combined_family(n: int, a: int, b: int, t: int) -> PdaArray:
 
 def trivial_pda() -> PdaArray:
     """The 2 x 2 array with stars on the diagonal and one color off it."""
-    return PdaArray.from_rows([[None, 1], [1, None]])
+    return PdaArray([[None, 1], [1, None]])
 
 
 def star_graph_coloring(m: int) -> ColoredBipartiteGraph:

@@ -22,12 +22,12 @@ STRIP_ROWS = [
 
 @pytest.fixture
 def example1() -> PdaArray:
-    return PdaArray.from_rows(EXAMPLE1_ROWS)
+    return PdaArray(EXAMPLE1_ROWS)
 
 
 @pytest.fixture
 def strip() -> PdaArray:
-    return PdaArray.from_rows(STRIP_ROWS)
+    return PdaArray(STRIP_ROWS)
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ from pdakit.scheme import (
     verify_roundtrip,
 )
 
-EXAMPLE1 = PdaArray.from_rows(
+EXAMPLE1 = PdaArray(
     [
         [None, 1, None, 3],
         [1, None, 3, None],
@@ -98,7 +98,7 @@ def test_criterion_1_worked_example_fidelity():
 
 def test_criterion_2_same_colors_combination():
     with criterion(2, "combining the two 2x4 strips reproduces the 4x4 example", 1.0):
-        strip = PdaArray.from_rows([[None, 1, None, 2], [1, None, 2, None]])
+        strip = PdaArray([[None, 1, None, 2], [1, None, 2, None]])
         pr = params(strip)
         assert (pr.K, pr.F, pr.Z, pr.S) == (4, 2, 1, 2)
         g = pda_to_coloring(strip)
@@ -212,6 +212,16 @@ def test_criterion_7_published_tables_with_divergence_ledger():
         assert "R" in rows3[0].divergence
 
 
+def _mutate(base: PdaArray, rnd: random.Random) -> PdaArray:
+    """Overwrite one to three random cells; raises PdaError when a color gap opens."""
+    rows = [list(r) for r in base.grid]
+    for _ in range(rnd.randint(1, 3)):
+        j = rnd.randrange(base.F)
+        k = rnd.randrange(base.K)
+        rows[j][k] = rnd.choice([None, *range(1, max(base.S, 1) + 1)])
+    return PdaArray(rows)
+
+
 def _mutation_corpus(count: int, seed: int) -> list[PdaArray]:
     rnd = random.Random(seed)
     pool = [
@@ -225,45 +235,61 @@ def _mutation_corpus(count: int, seed: int) -> list[PdaArray]:
         coloring_to_pda(cycle_product(pda_to_coloring(trivial_pda()), 3)),
         coloring_to_pda(star_product([pda_to_coloring(trivial_pda())] * 2)),
         restricted_combined_family(4, 1, 2, 1),
-        PdaArray.from_rows([[None]] * 3),
-        PdaArray.from_rows([[1, 2, 3]]),
+        PdaArray([[None]] * 3),
+        PdaArray([[1, 2, 3]]),
     ]
     corpus = list(pool)
     while len(corpus) < count:
-        base = rnd.choice(pool)
-        rows = [list(r) for r in base.grid]
-        for _ in range(rnd.randint(1, 3)):
-            j = rnd.randrange(base.F)
-            k = rnd.randrange(base.K)
-            rows[j][k] = rnd.choice([None, *range(1, max(base.S, 1) + 1)])
         try:
-            corpus.append(PdaArray.from_rows(rows))
+            corpus.append(_mutate(rnd.choice(pool), rnd))
         except PdaError:
             continue  # mutation opened a color gap; draw again
     return corpus
+
+
+def _oracles_agree(p: PdaArray) -> bool:
+    """Assert that the grid scan and the strength scan agree on p; return p's validity."""
+    report = validate(p)
+    bc_clean = not any(v.condition in ("B", "C") for v in report.violations)
+    a_clean = not any(v.condition == "A" for v in report.violations)
+    degrees = {sum(1 for j in range(p.F) if p.grid[j][k] is not None) for k in range(p.K)}
+    strong = is_strong_coloring(pda_to_coloring(p)).is_valid
+    assert bc_clean == strong
+    assert a_clean == (len(degrees) == 1)
+    assert report.is_valid == (strong and len(degrees) == 1)
+    return report.is_valid
 
 
 def test_criterion_8_oracle_agreement_on_mutated_corpus():
     with criterion(8, "grid validator and strong-coloring checker agree on 500 arrays", 60.0):
         corpus = _mutation_corpus(500, seed=4242)
         assert len(corpus) == 500
-        accepted = 0
-        for p in corpus:
-            report = validate(p)
-            bc_clean = not any(v.condition in ("B", "C") for v in report.violations)
-            a_clean = not any(v.condition == "A" for v in report.violations)
-            degrees = {
-                sum(1 for j in range(p.F) if p.grid[j][k] is not None) for k in range(p.K)
-            }
-            strong = is_strong_coloring(pda_to_coloring(p)).is_valid
-            assert bc_clean == strong
-            assert a_clean == (len(degrees) == 1)
-            assert report.is_valid == (strong and len(degrees) == 1)
-            accepted += report.is_valid
+        accepted = sum(_oracles_agree(p) for p in corpus)
         # the corpus must exercise both outcomes
         assert 0 < accepted < 500
 
 
+def test_oracles_agree_on_mutated_large_products():
+    # W2 is the 90 x 90 cycle product of disjoint_union(6, 2, 2) at m = 6; the
+    # star product of eight trivial arrays is 256 x 256.  Every W2 mutant drawn
+    # here is invalid, so the unmutated products carry the valid outcome.
+    rnd = random.Random(2024)
+    trivial = pda_to_coloring(trivial_pda())
+    products = {
+        "W2": coloring_to_pda(cycle_product(disjoint_union_coloring(6, 2, 2), 6)),
+        "star-256": coloring_to_pda(star_product([trivial] * 8)),
+    }
+    assert [(p.F, p.K) for p in products.values()] == [(90, 90), (256, 256)]
+    for name, base in products.items():
+        assert _oracles_agree(base), name
+        verdicts = []
+        while len(verdicts) < 40:
+            try:
+                mutant = _mutate(base, rnd)
+            except PdaError:
+                continue
+            verdicts.append(_oracles_agree(mutant))
+        assert not all(verdicts), name
 def test_criterion_9_growth_claims_proxy():
     # Asymptotic growth claims are out of desk-scale reach; the stated proxy
     # is the monotone decay of the Stirling estimate's relative error.

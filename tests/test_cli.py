@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdakit import cli, core, scheme
+from pdakit import cli, combinators, core, families, graphs, scheme
 from pdakit.cli import main
 from pdakit.core import params, read_pda, validate, write_pda
 
@@ -339,6 +339,19 @@ def test_equiv_exit_codes(tmp_path, ex1_file, capsys):
 
     assert main(["equiv", ex1_file, str(other), "--budget", "0"]) == 2
     assert "budget_exhausted" in capsys.readouterr().out
+
+
+def test_equiv_decides_a_1024_square_star_product(tmp_path, capsys):
+    # The search keeps its stack in a list, so F + K = 2048 levels raise nothing.
+    trivial = graphs.pda_to_coloring(families.trivial_pda())
+    p = graphs.coloring_to_pda(combinators.star_product([trivial] * 10))
+    rotated = core.PdaArray(p.grid[1:] + p.grid[:1])
+    assert (p.F, p.K) == (1024, 1024) and rotated != p
+    paths = [tmp_path / "star.pda", tmp_path / "rotated.pda"]
+    for path, q in zip(paths, (p, rotated)):
+        path.write_text(write_pda(q))
+    assert main(["equiv", *map(str, paths)]) == 0
+    assert capsys.readouterr().out.strip() == "equivalent"
 
 
 def test_argparse_usage_exit_code():

@@ -39,7 +39,7 @@ def test_example1_is_valid(example1):
 
 
 def test_row_repeat_is_condition_b():
-    p = PdaArray.from_rows([[1, 1]])
+    p = PdaArray([[1, 1]])
     report = validate(p)
     assert not report.is_valid
     assert [v.condition for v in report.violations] == ["B"]
@@ -47,7 +47,7 @@ def test_row_repeat_is_condition_b():
 
 
 def test_column_repeat_is_condition_b():
-    p = PdaArray.from_rows([[1], [1]])
+    p = PdaArray([[1], [1]])
     report = validate(p)
     assert [v.condition for v in report.violations] == ["B"]
     assert report.violations[0].cells == ((1, 1), (2, 1))
@@ -72,7 +72,7 @@ def test_swap_grid_is_condition_c():
     rows = [[1, 2], [2, 1]]
     expected = brute_force_c_witnesses(rows)
     assert ((1, 1), (2, 2)) in expected
-    report = validate(PdaArray.from_rows(rows))
+    report = validate(PdaArray(rows))
     got = {(v.condition, v.cells) for v in report.violations}
     assert ("C", ((1, 1), (2, 2))) in got
     assert ("C", ((1, 2), (2, 1))) in got
@@ -80,7 +80,7 @@ def test_swap_grid_is_condition_c():
 
 
 def test_condition_a_reports_unbalanced_columns():
-    p = PdaArray.from_rows([[None, 1], [1, None], [None, 2]])
+    p = PdaArray([[None, 1], [1, None], [None, 2]])
     report = validate(p)
     assert [v.condition for v in report.violations] == ["A"]
     assert "column 2" in report.violations[0].detail
@@ -90,7 +90,7 @@ def test_star_counts_match_a_per_column_scan():
     rng = random.Random(7)
     for _ in range(50):
         F, K = rng.randint(1, 6), rng.randint(1, 6)
-        p = PdaArray.from_rows([[rng.choice([None, 1]) for _ in range(K)] for _ in range(F)])
+        p = PdaArray([[rng.choice([None, 1]) for _ in range(K)] for _ in range(F)])
         per_column = [sum(1 for row in p.grid if row[k] is None) for k in range(K)]
         assert [p.star_count(k) for k in range(K)] == per_column
         assert p.S == len({e for row in p.grid for e in row if e is not None})
@@ -103,8 +103,8 @@ def test_grid_rows_are_stored_as_tuples():
     rows[0][0] = 2  # the caller's lists are not the array's rows
     assert p.grid == ((None, 1), (1, None))
     assert p.star_count(0) == 1
-    assert p == PdaArray.from_rows([[None, 1], [1, None]])
-    assert hash(p) == hash(PdaArray.from_rows([[None, 1], [1, None]]))
+    assert p == PdaArray([[None, 1], [1, None]])
+    assert hash(p) == hash(PdaArray([[None, 1], [1, None]]))
 
 
 def test_params_example1(example1):
@@ -117,31 +117,31 @@ def test_params_example1(example1):
 
 def test_params_trivial_array_measures_one_color():
     # drawn with a single distinct integer, so S is measured as 1
-    pr = params(PdaArray.from_rows([[None, 1], [1, None]]))
+    pr = params(PdaArray([[None, 1], [1, None]]))
     assert (pr.K, pr.F, pr.Z, pr.S) == (2, 2, 1, 1)
     assert pr.rate == Fraction(1, 2)
 
 
 def test_params_all_star_column():
-    pr = params(PdaArray.from_rows([[None]] * 5))
+    pr = params(PdaArray([[None]] * 5))
     assert (pr.K, pr.F, pr.Z, pr.S) == (1, 5, 5, 0)
     assert pr.rate == 0
 
 
 def test_params_rejects_invalid():
     with pytest.raises(InvalidPdaError):
-        params(PdaArray.from_rows([[1, 1]]))
+        params(PdaArray([[1, 1]]))
 
 
 def test_construction_rejects_malformed():
     with pytest.raises(PdaError):
-        PdaArray.from_rows([])
+        PdaArray([])
     with pytest.raises(PdaError):
-        PdaArray.from_rows([[1, 2], [1]])
+        PdaArray([[1, 2], [1]])
     with pytest.raises(PdaError):
-        PdaArray.from_rows([[0]])
+        PdaArray([[0]])
     with pytest.raises(PdaError):
-        PdaArray.from_rows([[1, 3]])  # color 2 missing
+        PdaArray([[1, 3]])  # color 2 missing
 
 
 def test_equivalent_identity(example1):
@@ -156,7 +156,7 @@ def apply_relabeling(p, row_perm, col_perm, color_map):
         ]
         for j in range(p.F)
     ]
-    return PdaArray.from_rows(rows)
+    return PdaArray(rows)
 
 
 def test_equivalent_after_known_permutation(example1):
@@ -167,7 +167,7 @@ def test_equivalent_after_known_permutation(example1):
 
 
 def test_inequivalent_on_parameter_mismatch(example1):
-    other = PdaArray.from_rows(
+    other = PdaArray(
         [
             [None, None, None, 1],
             [None, None, 1, None],
@@ -181,8 +181,8 @@ def test_inequivalent_on_parameter_mismatch(example1):
 
 def test_inequivalent_same_parameters():
     # both (3,3,2,3) and valid, but the entries sit in different row patterns
-    p1 = PdaArray.from_rows([[None, None, None], [None, None, None], [1, 2, 3]])
-    p2 = PdaArray.from_rows([[None, None, None], [None, None, 1], [2, 3, None]])
+    p1 = PdaArray([[None, None, None], [None, None, None], [1, 2, 3]])
+    p2 = PdaArray([[None, None, None], [None, None, 1], [2, 3, None]])
     pr1, pr2 = params(p1), params(p2)
     assert (pr1.K, pr1.F, pr1.Z, pr1.S) == (pr2.K, pr2.F, pr2.Z, pr2.S) == (3, 3, 2, 3)
     assert equivalent(p1, p2) is EquivalenceResult.INEQUIVALENT
@@ -197,7 +197,7 @@ def test_budget_exhaustion(example1):
 def test_equivalence_invariant_under_random_relabeling(rnd):
     from conftest import EXAMPLE1_ROWS
 
-    p = PdaArray.from_rows(EXAMPLE1_ROWS)
+    p = PdaArray(EXAMPLE1_ROWS)
     row_perm = list(range(p.F))
     col_perm = list(range(p.K))
     colors = list(range(1, p.S + 1))
@@ -210,7 +210,7 @@ def test_equivalence_invariant_under_random_relabeling(rnd):
 
 
 def test_validate_keeps_its_report_on_the_array(example1):
-    broken = PdaArray.from_rows([[1, 2], [2, 1]])
+    broken = PdaArray([[1, 2], [2, 1]])
     for p in (example1, broken):
         assert validate(p) is validate(p)
         fresh = PdaArray(p.grid)
@@ -352,7 +352,7 @@ def _reference_equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -
 
 def _rows(text: str) -> PdaArray:
     """An array written as rows joined by '|', entries by spaces, '*' for a star."""
-    return PdaArray.from_rows(
+    return PdaArray(
         [[None if tok == "*" else int(tok) for tok in row.split()] for row in text.split("|")]
     )
 
@@ -388,8 +388,8 @@ def _equivalence_corpus() -> list[tuple[str, PdaArray, PdaArray]]:
 
     trivial = pda_to_coloring(trivial_pda())
     pool = {
-        "example1": PdaArray.from_rows(EXAMPLE1_ROWS),
-        "strip": PdaArray.from_rows(STRIP_ROWS),
+        "example1": PdaArray(EXAMPLE1_ROWS),
+        "strip": PdaArray(STRIP_ROWS),
         "trivial": trivial_pda(),
         "du-4-1-2": coloring_to_pda(disjoint_union_coloring(4, 1, 2)),
         "du-5-1-2": coloring_to_pda(disjoint_union_coloring(5, 1, 2)),
@@ -399,8 +399,8 @@ def _equivalence_corpus() -> list[tuple[str, PdaArray, PdaArray]]:
         "cycle-3": coloring_to_pda(cycle_product(trivial, 3)),
         "star-2": coloring_to_pda(star_product([trivial] * 2)),
         "rc-4-1-2-1": restricted_combined_family(4, 1, 2, 1),
-        "stars": PdaArray.from_rows([[None]] * 3),
-        "row": PdaArray.from_rows([[1, 2, 3]]),
+        "stars": PdaArray([[None]] * 3),
+        "row": PdaArray([[1, 2, 3]]),
     }
     corpus = []
     for name, p in pool.items():
@@ -443,6 +443,23 @@ def test_equivalent_matches_the_reference_search():
     for i, (a, b) in enumerate(_INEQUIVALENT_SAME_SIGNATURES):
         assert _exhaustion_point(_rows(a), _rows(b)) > 0, i
         assert equivalent(_rows(a), _rows(b)) is EquivalenceResult.INEQUIVALENT, i
+
+
+@pytest.mark.parametrize("factors", [3, 6, 10])
+def test_equivalent_matches_a_star_product_with_one_pass_of_f_plus_k_nodes(factors):
+    # The star product of trivial arrays and a seeded relabeling of it match on
+    # the first candidate at every level, so F + K nodes decide the pair.  At
+    # 1024 x 1024 the reference search ends in RecursionError.
+    p = coloring_to_pda(star_product([pda_to_coloring(trivial_pda())] * factors))
+    twin = _seeded_relabeling(p, factors)
+    assert p.F == p.K == 2**factors
+    for budget, expected in (
+        (p.F + p.K - 1, EquivalenceResult.BUDGET_EXHAUSTED),
+        (p.F + p.K, EquivalenceResult.EQUIVALENT),
+    ):
+        assert equivalent(p, twin, budget) is expected, budget
+        if factors <= 6:
+            assert _reference_equivalent(p, twin, budget) is expected, budget
 
 
 def test_write_then_read_is_identity(example1):
@@ -537,7 +554,7 @@ def random_structural_array(rnd: random.Random) -> PdaArray:
     present = sorted({e for row in rows for e in row if e is not None})
     dense = {c: i + 1 for i, c in enumerate(present)}
     rows = [[None if e is None else dense[e] for e in row] for row in rows]
-    return PdaArray.from_rows(rows)
+    return PdaArray(rows)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

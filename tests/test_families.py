@@ -107,6 +107,23 @@ def test_intersection_t_diagonal_case():
     assert (pr.K, pr.F, pr.Z, pr.S) == (6, 6, 5, 6)
 
 
+def _per_cell_disjoint_union(n: int, a: int, b: int) -> ColoredBipartiteGraph:
+    """Visit every (A, B) cell and keep the disjoint pairs."""
+    left, right = subsets(n, a), subsets(n, b)
+    triples = frozenset((A, B, tuple(sorted(A + B))) for A in left for B in right if not set(A) & set(B))
+    return ColoredBipartiteGraph(left, right, triples)
+
+
+def test_disjoint_union_per_edge_build_equals_the_per_cell_scan():
+    legal = 0
+    for n in range(2, 8):
+        for a in range(1, n):
+            for b in range(1, n - a + 1):
+                assert disjoint_union_coloring(n, a, b) == _per_cell_disjoint_union(n, a, b), (n, a, b)
+                legal += 1
+    assert legal == 56
+
+
 def _per_cell_intersection_t(n: int, a: int, b: int, t: int) -> ColoredBipartiteGraph:
     """Visit every (A, B) cell and keep the pairs meeting in t elements."""
     left, right = subsets(n, a), subsets(n, b)

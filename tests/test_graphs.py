@@ -140,13 +140,13 @@ def test_structured_colors_densify_with_legend():
 
 def test_cross_oracle_agreement_targeted(example1):
     assert validate(example1).is_valid == is_strong_coloring(pda_to_coloring(example1)).is_valid
-    bad = PdaArray.from_rows([[1, 2], [2, 1]])
+    bad = PdaArray([[1, 2], [2, 1]])
     assert not validate(bad).is_valid
     assert not is_strong_coloring(pda_to_coloring(bad)).is_valid
 
 
 def test_each_graph_keeps_its_strength_report(example1):
-    swap = PdaArray.from_rows([[1, 2], [2, 1]])
+    swap = PdaArray([[1, 2], [2, 1]])
     for build in (
         lambda: pda_to_coloring(example1),
         lambda: pda_to_coloring(swap),
@@ -186,7 +186,7 @@ def random_structural_array(rnd: random.Random) -> PdaArray:
     rows = [[rnd.choice([None, *range(1, max_color + 1)]) for _ in range(K)] for _ in range(F)]
     present = sorted({e for row in rows for e in row if e is not None})
     dense = {c: i + 1 for i, c in enumerate(present)}
-    return PdaArray.from_rows([[None if e is None else dense[e] for e in row] for row in rows])
+    return PdaArray([[None if e is None else dense[e] for e in row] for row in rows])
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -59,14 +59,14 @@ def test_cache_size_invariant(example1):
 
 
 def test_all_star_column_caches_everything():
-    p = PdaArray.from_rows([[None], [None], [None]])
+    p = PdaArray([[None], [None], [None]])
     lib = FileLibrary.for_array(p, 2, seed=0)
     caches = place(p, lib)
     assert set(_cached(caches, 1, p.F)) == {(i, j) for i in (1, 2) for j in (1, 2, 3)}
 
 
 def test_zero_star_array_gives_empty_caches():
-    p = PdaArray.from_rows([[1, 2, 3]])
+    p = PdaArray([[1, 2, 3]])
     lib = FileLibrary.for_array(p, 2, seed=0)
     caches = place(p, lib)
     assert all(not rows for rows in caches.rows)
@@ -175,7 +175,7 @@ def test_roundtrip_policy_sweep_over_generated_arrays():
 
 
 def test_condition_c_violation_breaks_decoding():
-    bad = PdaArray.from_rows([[1, 2], [2, 1]])
+    bad = PdaArray([[1, 2], [2, 1]])
     lib = FileLibrary.for_array(bad, 2, seed=1)
     caches = place(bad, lib)
     demand = (1, 2)
@@ -187,7 +187,7 @@ def test_condition_c_violation_breaks_decoding():
 
 
 def test_condition_b_violation_corrupts_bytes():
-    bad = PdaArray.from_rows([[1], [1]])
+    bad = PdaArray([[1], [1]])
     lib = FileLibrary(files=(b"\x01\x02",))
     assert not verify_roundtrip(bad, lib, (1,))
 
@@ -358,11 +358,11 @@ def _star_to_color(p: PdaArray, rng: random.Random) -> PdaArray:
     j, k = rng.choice(stars)
     rows = [list(row) for row in p.grid]
     rows[j][k] = rng.randint(1, p.S)
-    return PdaArray.from_rows(rows)
+    return PdaArray(rows)
 
 
 def test_fast_path_matches_reference_on_condition_c_violations():
-    broken = [PdaArray.from_rows([[1, 2], [2, 1]]), PdaArray.from_rows([[1], [1]])]
+    broken = [PdaArray([[1, 2], [2, 1]]), PdaArray([[1], [1]])]
     rng = random.Random(105)
     for p, _ in _roundtrip_catalog():
         if p.S and p.star_count(0):
