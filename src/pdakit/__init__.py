@@ -7,6 +7,7 @@ bytes to prove the scheme works.
 """
 
 from .analytics import (
+    ParameterError,
     SchemeRow,
     TableRow,
     binary_entropy,
@@ -45,8 +46,6 @@ from .core import (
     write_pda,
 )
 from .families import (
-    FamilyParameterError,
-    FamilySpec,
     disjoint_union_coloring,
     intersection_t_coloring,
     restricted_combined_family,

@@ -24,7 +24,7 @@ CSV_HEADER = "label,K,one_minus_MN,F,R,paper_value,divergence"
 
 
 class ParameterError(ValueError):
-    """Closed-form parameters outside their legal range."""
+    """Family or closed-form parameters outside their legal range."""
 
 
 def binomial(n: int, k: int) -> int:
@@ -71,22 +71,75 @@ class SchemeRow:
     note: str = ""
 
 
+# Each family's legal range and the supported cycle lengths, stated once for the
+# constructions in `families`, `combinators.cycle_product` and the closed forms.
+
+
+def check_disjoint_union(n: int, a: int, b: int) -> None:
+    if a < 1 or b < 1 or a + b > n:
+        raise ParameterError(f"need a, b >= 1 and a + b <= n, got n={n} a={a} b={b}")
+
+
+def check_intersection_t(n: int, a: int, b: int, t: int) -> None:
+    if not (0 < a < n and 0 < b < n):
+        raise ParameterError(f"need 0 < a, b < n, got n={n} a={a} b={b}")
+    if not (0 <= t <= min(a, b) and a + b - t <= n):
+        raise ParameterError(f"need 0 <= t <= min(a, b) and a + b - t <= n, got t={t}")
+
+
+def check_restricted(n: int, a: int, b: int, t: int) -> None:
+    check_disjoint_union(n, a, b)
+    if not 0 <= t < b:
+        raise ParameterError(f"need 0 <= t < b, got t={t} b={b}")
+
+
+def cycle_length_supported(m: int) -> bool:
+    """m = 3 (three vertex colors) or a multiple of 6 (two suffice)."""
+    return m == 3 or (m >= 6 and m % 6 == 0)
+
+
+# A scheme's integer parameters (K, F, g, S): users, packets, colored cells
+# per column (g = F - Z) and colors; 1 - M/N = g/F and R = S/F.
+KFgS = tuple[int, int, int, int]
+
+
+def _row(label: str, kfgs: KFgS, note: str = "") -> SchemeRow:
+    k, f, g, s = kfgs
+    return SchemeRow(label=label, K=k, one_minus_MN=Fraction(g, f), F=f, R=Fraction(s, f), note=note)
+
+
+def star_law(*factors: KFgS) -> KFgS:
+    """The star product multiplies each of K, F, g and S across its factors."""
+    return tuple(math.prod(column) for column in zip(*factors))
+
+
+def cycle_law(base: KFgS, m: int) -> KFgS:
+    """The cycle product with C_m: (K, F, g, S) -> (mK, mF, 3g, 8S), 9S when m = 3.
+
+    S counts one group per vertex color and per oriented copy of the 3 edge colors.
+    """
+    if not cycle_length_supported(m):
+        raise ParameterError(f"cycle forms need m = 3 or 6 | m, got m={m}")
+    k, f, g, s = base
+    return m * k, m * f, 3 * g, (9 if m == 3 else 8) * s
+
+
+def _intersection_t(n: int, a: int, b: int, t: int) -> KFgS:
+    check_intersection_t(n, a, b, t)
+    d = a + b - 2 * t  # size of the symmetric difference
+    g = binomial(b, t) * binomial(n - b, a - t)
+    return binomial(n, b), binomial(n, a), g, binomial(n, d) * binomial(n - d, t)
+
+
 def restricted_family_params(n: int, a: int, b: int, t: int) -> SchemeRow:
     """Closed forms for the restricted same-colors combination of subset colorings.
 
     K = C(n,a+t) C(a+t,a),  F = C(n,b-t),
     1-M/N = C(n-a-t,b-t)/F,  R = C(n,a+b) C(a+b,b) / F.
     """
-    if a < 1 or b < 1 or a + b > n or not 0 <= t < b:
-        raise ParameterError(f"bad restricted-family parameters n={n} a={a} b={b} t={t}")
-    f_val = binomial(n, b - t)
-    return SchemeRow(
-        label=f"n={n} a={a} b={b} t={t}",
-        K=binomial(n, a + t) * binomial(a + t, a),
-        one_minus_MN=Fraction(binomial(n - a - t, b - t), f_val),
-        F=f_val,
-        R=Fraction(binomial(n, a + b) * binomial(a + b, b), f_val),
-    )
+    check_restricted(n, a, b, t)
+    k, s = binomial(n, a + t) * binomial(a + t, a), binomial(n, a + b) * binomial(a + b, b)
+    return _row(f"n={n} a={a} b={b} t={t}", (k, binomial(n, b - t), binomial(n - a - t, b - t), s))
 
 
 def star_intersection_params(
@@ -94,56 +147,19 @@ def star_intersection_params(
 ) -> SchemeRow:
     """Closed forms for the star product of two intersection-size colorings.
 
-    K = C(n,b) C(n2,b2),  F = C(n,a) C(n2,a2),
-    1-M/N = C(b,t) C(b2,t2) C(n-b,a-t) C(n2-b2,a2-t2) / F,
-    R = C(n,a+b-2t) C(n-(a+b-2t),t) C(n2,a2+b2-2t2) C(n2-(a2+b2-2t2),t2) / F.
+    Each factor has K = C(n,b),  F = C(n,a),  g = C(b,t) C(n-b,a-t),
+    S = C(n,a+b-2t) C(n-(a+b-2t),t); the star law multiplies them.
     """
-    for nn, aa, bb, tt in ((n, a, b, t), (n2, a2, b2, t2)):
-        if not (0 < aa < nn and 0 < bb < nn and 0 <= tt <= min(aa, bb) and aa + bb - tt <= nn):
-            raise ParameterError(f"bad intersection parameters n={nn} a={aa} b={bb} t={tt}")
-    f_val = binomial(n, a) * binomial(n2, a2)
-    degree = (
-        binomial(b, t) * binomial(b2, t2) * binomial(n - b, a - t) * binomial(n2 - b2, a2 - t2)
-    )
-    s_val = (
-        binomial(n, a + b - 2 * t)
-        * binomial(n - (a + b - 2 * t), t)
-        * binomial(n2, a2 + b2 - 2 * t2)
-        * binomial(n2 - (a2 + b2 - 2 * t2), t2)
-    )
-    return SchemeRow(
-        label=f"n={n} a={a} b={b} t={t} x n={n2} a={a2} b={b2} t={t2}",
-        K=binomial(n, b) * binomial(n2, b2),
-        one_minus_MN=Fraction(degree, f_val),
-        F=f_val,
-        R=Fraction(s_val, f_val),
-    )
-
-
-def _cycle_color_groups(m: int) -> int:
-    if not (m == 3 or (m >= 6 and m % 6 == 0)):
-        raise ParameterError(f"cycle forms need m = 3 or 6 | m, got m={m}")
-    # vertex colors + two oriented copies of the 3 edge colors
-    return 9 if m == 3 else 8
+    factors = _intersection_t(n, a, b, t), _intersection_t(n2, a2, b2, t2)
+    return _row(f"n={n} a={a} b={b} t={t} x n={n2} a={a2} b={b2} t={t2}", star_law(*factors))
 
 
 def cycle_family_params(n: int, a: int, b: int, m: int) -> SchemeRow:
-    """Closed forms for the cycle product over a disjoint-union coloring.
-
-    K = m C(n,b),  F = m C(n,a),  1-M/N = (3/m) C(n-b,a)/C(n,a),
-    R = (8/m) C(n,a+b)/C(n,a)  (9/m when m = 3).
-    """
-    if a < 1 or b < 1 or a + b > n:
-        raise ParameterError(f"bad disjoint-union parameters n={n} a={a} b={b}")
-    groups = _cycle_color_groups(m)
-    base_f = binomial(n, a)
-    return SchemeRow(
-        label=f"n={n} a={a} b={b} m={m}",
-        K=m * binomial(n, b),
-        one_minus_MN=Fraction(3 * binomial(n - b, a), m * base_f),
-        F=m * base_f,
-        R=Fraction(groups * binomial(n, a + b), m * base_f),
-    )
+    """Closed forms for the cycle product over a disjoint-union coloring: the
+    cycle law applied to K = C(n,b),  F = C(n,a),  g = C(n-b,a),  S = C(n,a+b)."""
+    check_disjoint_union(n, a, b)
+    base = binomial(n, b), binomial(n, a), binomial(n - b, a), binomial(n, a + b)
+    return _row(f"n={n} a={a} b={b} m={m}", cycle_law(base, m))
 
 
 def _is_prime_power(q: int) -> bool:
@@ -164,6 +180,20 @@ def minimal_x(n: int, l: int) -> int:
     return (l + 1) // math.gcd(n, l + 1)
 
 
+_BLOCK_CODE_NOTE = "K = n*q inferred from the published comparison rows"
+
+
+def _block_code(n: int, q: int, l: int, x: int) -> KFgS:
+    if n < 1 or l < 1:
+        raise ParameterError(f"need n, l >= 1, got n={n} l={l}")
+    if not _is_prime_power(q):
+        raise ParameterError(f"q must be a prime power, got q={q}")
+    want = minimal_x(n, l)
+    if x != want:
+        raise ParameterError(f"x={x} is not minimal: least x with {l + 1} | {n}x is {want}")
+    return n * q, (q - 1) * q**l * x * n // (l + 1), x * (q - 1) * q ** (l - 1), x * q**l
+
+
 def block_code_params(n: int, q: int, l: int, x: int) -> SchemeRow:
     """Parameter arithmetic of the linear-block-code family.
 
@@ -174,38 +204,12 @@ def block_code_params(n: int, q: int, l: int, x: int) -> SchemeRow:
     arithmetic is implemented, so n > l is not required here; the published
     cycle-transform rows themselves use n < l.
     """
-    if n < 1 or l < 1:
-        raise ParameterError(f"need n, l >= 1, got n={n} l={l}")
-    if not _is_prime_power(q):
-        raise ParameterError(f"q must be a prime power, got q={q}")
-    want = minimal_x(n, l)
-    if x != want:
-        raise ParameterError(f"x={x} is not minimal: least x with {l + 1} | {n}x is {want}")
-    return SchemeRow(
-        label=f"({n},{q},{l},{x})",
-        K=n * q,
-        one_minus_MN=Fraction(l + 1, n * q),
-        F=(q - 1) * q**l * x * n // (l + 1),
-        R=Fraction(l + 1, (q - 1) * n),
-        note="K = n*q inferred from the published comparison rows",
-    )
+    return _row(f"({n},{q},{l},{x})", _block_code(n, q, l, x), note=_BLOCK_CODE_NOTE)
 
 
 def block_code_cycle_params(n: int, q: int, l: int, x: int, m: int) -> SchemeRow:
-    """Cycle-product transform of the block-code family:
-    (K, F, Z, S) -> (mK, mF, mF - 3g, 8S) for 6 | m (9S when m = 3)."""
-    groups = _cycle_color_groups(m)
-    base = block_code_params(n, q, l, x)
-    g_val = x * (q - 1) * q ** (l - 1)
-    s_val = x * q**l
-    return SchemeRow(
-        label=f"({n},{q},{l},{x}) m={m}",
-        K=m * base.K,
-        one_minus_MN=Fraction(3 * g_val, m * base.F),
-        F=m * base.F,
-        R=Fraction(groups * s_val, m * base.F),
-        note=base.note,
-    )
+    """The block-code family under the cycle product's law (``cycle_law``)."""
+    return _row(f"({n},{q},{l},{x}) m={m}", cycle_law(_block_code(n, q, l, x), m), note=_BLOCK_CODE_NOTE)
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,24 @@ def _write(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+# Each family's flags, in the order its builder takes them, and its builder,
+# which returns an array or a coloring.
+FAMILIES = {
+    "disjoint-union": (("n", "a", "b"), families.disjoint_union_coloring),
+    "intersection-t": (("n", "a", "b", "t"), families.intersection_t_coloring),
+    "restricted-combined": (("n", "a", "b", "t"), families.restricted_combined_family),
+    "trivial": ((), families.trivial_pda),
+    "star": (("m",), families.star_graph_coloring),
+}
+
+
 def _cmd_build(args) -> int:
-    spec = families.FamilySpec(
-        family=args.family, n=args.n, a=args.a, b=args.b, t=args.t, m=args.m
-    )
-    p = spec.build_pda()
+    flags, build = FAMILIES[args.family]
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise UsageError(f"family {args.family!r} requires --{flag}")
+    built = build(*(getattr(args, flag) for flag in flags))
+    p = built if isinstance(built, PdaArray) else graphs.coloring_to_pda(built)
     _write(args.output, write_pda(p))
     print(f"wrote {args.output}: {params(p)}")
     return EXIT_OK
@@ -181,12 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="construct a base array and write it to a file")
-    b.add_argument("--family", required=True, choices=list(families.FamilySpec._NEEDED))
-    b.add_argument("--n", type=int)
-    b.add_argument("--a", type=int)
-    b.add_argument("--b", type=int)
-    b.add_argument("--t", type=int)
-    b.add_argument("--m", type=int)
+    b.add_argument("--family", required=True, choices=list(FAMILIES))
+    for flag in ("n", "a", "b", "t", "m"):
+        b.add_argument(f"--{flag}", type=int)
     b.add_argument("-o", "--output", required=True)
     b.set_defaults(func=_cmd_build)
 
@@ -236,7 +246,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, families.FamilyParameterError, analytics.ParameterError, scheme.SchemeError) as exc:
+    except (UsageError, analytics.ParameterError, scheme.SchemeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PdaError, graphs.GraphError, combinators.CombineError) as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 from typing import Sequence
 
+from .analytics import cycle_length_supported
 from .core import PdaArray
 from .graphs import (
     ColoredBipartiteGraph,
@@ -166,7 +167,7 @@ def cycle_product(base: ColoredBipartiteGraph, m: int) -> ColoredBipartiteGraph:
     opposing orientations, which lives in the tests as the reference
     (test_cycle_product_equals_the_oriented_cycle_construction).
     """
-    if not (m == 3 or (m >= 6 and m % 6 == 0)):
+    if not cycle_length_supported(m):
         raise CombineError(f"cycle product supports m = 3 or m divisible by 6, got m={m}")
     _require_strong(base)
     ring = range(1, m + 1)

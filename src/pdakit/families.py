@@ -6,18 +6,13 @@ fixes row and column order of every derived array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
+from .analytics import ParameterError, check_disjoint_union, check_intersection_t, check_restricted
 from .core import PdaArray
 from .graphs import ColoredBipartiteGraph, coloring_to_pda
 
 SubsetLabel = tuple[int, ...]
-
-
-class FamilyParameterError(ValueError):
-    """Family parameters outside their legal range."""
 
 
 def subsets(n: int, k: int) -> tuple[SubsetLabel, ...]:
@@ -32,8 +27,7 @@ def disjoint_union_coloring(n: int, a: int, b: int) -> ColoredBipartiteGraph:
     (checked against the per-cell scan by
     test_disjoint_union_per_edge_build_equals_the_per_cell_scan).
     """
-    if a < 1 or b < 1 or a + b > n:
-        raise FamilyParameterError(f"need a, b >= 1 and a + b <= n, got n={n} a={a} b={b}")
+    check_disjoint_union(n, a, b)
     left = subsets(n, a)
     triples = []
     for A in left:
@@ -52,10 +46,7 @@ def intersection_t_coloring(n: int, a: int, b: int, t: int) -> ColoredBipartiteG
     (A minus T) u W (checked against the per-cell scan by
     test_intersection_t_per_edge_build_equals_the_per_cell_scan).
     """
-    if not (0 < a < n and 0 < b < n):
-        raise FamilyParameterError(f"need 0 < a, b < n, got n={n} a={a} b={b}")
-    if not (0 <= t <= min(a, b) and a + b - t <= n):
-        raise FamilyParameterError(f"need 0 <= t <= min(a, b) and a + b - t <= n, got t={t}")
+    check_intersection_t(n, a, b, t)
     left = subsets(n, a)
     triples = []
     for A in left:
@@ -79,10 +70,7 @@ def restricted_combined_family(n: int, a: int, b: int, t: int) -> PdaArray:
     by test_restricted_combined_equals_combine_then_restrict): row Y meets
     column (A, A') iff Y and A are disjoint, colored (U, U minus A'), U = A u Y.
     """
-    if a < 1 or b < 1 or a + b > n:
-        raise FamilyParameterError(f"need a, b >= 1 and a + b <= n, got n={n} a={a} b={b}")
-    if not (0 <= t < b):
-        raise FamilyParameterError(f"need 0 <= t < b, got t={t} b={b}")
+    check_restricted(n, a, b, t)
     rows = subsets(n, b - t)
     cols = tuple((A, A2) for A in subsets(n, a + t) for A2 in combinations(A, a))
     triples = []
@@ -102,48 +90,8 @@ def trivial_pda() -> PdaArray:
 def star_graph_coloring(m: int) -> ColoredBipartiteGraph:
     """K_{1,m} with every edge its own color (any strong coloring must do this)."""
     if m < 1:
-        raise FamilyParameterError(f"need m >= 1, got m={m}")
+        raise ParameterError(f"need m >= 1, got m={m}")
     left: tuple = (1,)
     right = tuple(f"{i}'" for i in range(1, m + 1))
     triples = frozenset((1, right[i], i + 1) for i in range(m))
     return ColoredBipartiteGraph(left, right, triples)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family id plus its parameters, as collected from the command line."""
-
-    family: str
-    n: Optional[int] = None
-    a: Optional[int] = None
-    b: Optional[int] = None
-    t: Optional[int] = None
-    m: Optional[int] = None
-
-    _NEEDED = {
-        "disjoint-union": ("n", "a", "b"),
-        "intersection-t": ("n", "a", "b", "t"),
-        "restricted-combined": ("n", "a", "b", "t"),
-        "trivial": (),
-        "star": ("m",),
-    }
-
-    def check(self) -> None:
-        if self.family not in self._NEEDED:
-            raise FamilyParameterError(f"unknown family {self.family!r}")
-        for name in self._NEEDED[self.family]:
-            if getattr(self, name) is None:
-                raise FamilyParameterError(f"family {self.family!r} requires --{name}")
-
-    def build_pda(self) -> PdaArray:
-        """Construct the family and convert to an array where needed."""
-        self.check()
-        if self.family == "trivial":
-            return trivial_pda()
-        if self.family == "star":
-            return coloring_to_pda(star_graph_coloring(self.m))
-        if self.family == "disjoint-union":
-            return coloring_to_pda(disjoint_union_coloring(self.n, self.a, self.b))
-        if self.family == "intersection-t":
-            return coloring_to_pda(intersection_t_coloring(self.n, self.a, self.b, self.t))
-        return restricted_combined_family(self.n, self.a, self.b, self.t)

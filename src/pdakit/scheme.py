@@ -96,9 +96,9 @@ class FileLibrary:
         return cls(tuple(rng.randbytes(file_len) for _ in range(n_files)))
 
     @classmethod
-    def for_array(cls, p: PdaArray, n_files: int, seed: int, bytes_per_packet: int = 1) -> "FileLibrary":
-        """Smallest faithful library for p: file length F * bytes_per_packet."""
-        return cls.random(n_files, p.F * bytes_per_packet, seed)
+    def for_array(cls, p: PdaArray, n_files: int, seed: int) -> "FileLibrary":
+        """Smallest faithful library for p: F one-byte packets per file."""
+        return cls.random(n_files, p.F, seed)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,9 @@ from pdakit.analytics import (
     stirling_binomial_estimate,
     table_report,
 )
-from pdakit.combinators import cycle_product, star_product
+from pdakit.combinators import CombineError, cycle_product, star_product
 from pdakit.core import params
 from pdakit.families import (
-    FamilyParameterError,
     disjoint_union_coloring,
     intersection_t_coloring,
     restricted_combined_family,
@@ -174,12 +173,41 @@ def _accepts(build, error, *args) -> bool:
     return True
 
 
-def test_restricted_family_and_its_closed_forms_accept_the_same_parameters():
-    for n in range(8):
-        for a, b, t in itertools.product(range(-1, n + 2), repeat=3):
-            built = _accepts(restricted_combined_family, FamilyParameterError, n, a, b, t)
-            priced = _accepts(restricted_family_params, ParameterError, n, a, b, t)
-            assert built == priced, (n, a, b, t)
+_GRID = [(n, a, b, t) for n in range(8) for a, b, t in itertools.product(range(-1, n + 2), repeat=3)]
+_CYCLE_BASE = (3, 1, 1)
+
+# rule -> (construction, its error), (closed form, its error), points to try
+_SHARED_RULES = {
+    "restricted": (
+        (restricted_combined_family, ParameterError), (restricted_family_params, ParameterError), _GRID,
+    ),
+    "disjoint-union": (
+        (lambda n, a, b, t: disjoint_union_coloring(n, a, b), ParameterError),
+        (lambda n, a, b, t: cycle_family_params(n, a, b, 6), ParameterError),
+        _GRID,
+    ),
+    "intersection-t": (
+        (intersection_t_coloring, ParameterError),
+        (lambda n, a, b, t: star_intersection_params(n, a, b, t, n, a, b, t), ParameterError),
+        _GRID,
+    ),
+    "cycle-length": (
+        (lambda m: cycle_product(disjoint_union_coloring(*_CYCLE_BASE), m), CombineError),
+        (lambda m: cycle_family_params(*_CYCLE_BASE, m), ParameterError),
+        [(m,) for m in range(-1, 41)],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(_SHARED_RULES))
+def test_constructions_and_closed_forms_accept_the_same_parameters(rule):
+    (build, build_error), (price, price_error), points = _SHARED_RULES[rule]
+    verdicts = set()
+    for point in points:
+        built = _accepts(build, build_error, *point)
+        assert built == _accepts(price, price_error, *point), point
+        verdicts.add(built)
+    assert verdicts == {True, False}
 
 
 def test_block_code_cycle_params_published_row():

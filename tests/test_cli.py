@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,9 +33,52 @@ def test_build_writes_readable_valid_file(tmp_path, capsys):
     assert "K=6" in capsys.readouterr().out
 
 
-def test_build_usage_error_on_missing_parameter(tmp_path):
+def test_build_usage_error_on_missing_parameter(tmp_path, capsys):
     out = tmp_path / "x.pda"
     assert main(["build", "--family", "disjoint-union", "--n", "4", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: family 'disjoint-union' requires --a\n"
+    with pytest.raises(SystemExit) as info:
+        main(["build", "--family", "nope", "-o", str(out)])
+    assert info.value.code == 2
+
+
+# The flags each family requires, in the order `build` asks for them.
+FAMILY_FLAGS = {
+    "disjoint-union": "nab",
+    "intersection-t": "nabt",
+    "restricted-combined": "nabt",
+    "trivial": "",
+    "star": "m",
+}
+
+
+@pytest.fixture(scope="module")
+def build_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("build")
+
+
+@given(
+    family=st.sampled_from(list(FAMILY_FLAGS)),
+    values=st.fixed_dictionaries({flag: st.none() | st.integers(-2, 8) for flag in "nabtm"}),
+)
+@settings(max_examples=200, deadline=None)
+def test_build_returns_0_or_2_for_any_family_flags(build_folder, family, values):
+    out = build_folder / "built.pda"
+    out.unlink(missing_ok=True)
+    argv = ["build", "--family", family, "-o", str(out)]
+    for flag, value in values.items():
+        if value is not None:
+            argv += [f"--{flag}", str(value)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    missing = [flag for flag in FAMILY_FLAGS[family] if values[flag] is None]
+    if missing:
+        assert (code, err.getvalue()) == (2, f"error: family {family!r} requires --{missing[0]}\n")
+    elif code == 0:
+        assert validate(read_pda(out.read_text())).is_valid
+    else:
+        assert code == 2 and err.getvalue().startswith("error: need "), argv
 
 
 def test_build_all_families(tmp_path):

@@ -5,11 +5,10 @@ from math import comb
 
 import pytest
 
+from pdakit.analytics import ParameterError
 from pdakit.combinators import combine_same_colors
 from pdakit.core import EquivalenceResult, equivalent, params, validate
 from pdakit.families import (
-    FamilyParameterError,
-    FamilySpec,
     disjoint_union_coloring,
     intersection_t_coloring,
     restricted_combined_family,
@@ -75,9 +74,9 @@ def test_disjoint_union_412_matches_enumeration_oracle():
 
 
 def test_disjoint_union_rejects_bad_ranges():
-    with pytest.raises(FamilyParameterError):
+    with pytest.raises(ParameterError):
         disjoint_union_coloring(3, 2, 2)
-    with pytest.raises(FamilyParameterError):
+    with pytest.raises(ParameterError):
         disjoint_union_coloring(3, 0, 1)
 
 
@@ -152,11 +151,11 @@ def test_intersection_t_per_edge_build_equals_the_per_cell_scan():
 
 
 def test_intersection_t_rejects_bad_ranges():
-    with pytest.raises(FamilyParameterError):
+    with pytest.raises(ParameterError):
         intersection_t_coloring(4, 4, 2, 1)
-    with pytest.raises(FamilyParameterError):
+    with pytest.raises(ParameterError):
         intersection_t_coloring(4, 2, 2, 3)
-    with pytest.raises(FamilyParameterError):
+    with pytest.raises(ParameterError):
         intersection_t_coloring(4, 3, 3, 1)
 
 
@@ -217,9 +216,9 @@ def test_restricted_combined_equals_combine_then_restrict():
 
 
 def test_restricted_combined_rejects_bad_ranges():
-    with pytest.raises(FamilyParameterError):
+    with pytest.raises(ParameterError):
         restricted_combined_family(4, 2, 3, 0)
-    with pytest.raises(FamilyParameterError):
+    with pytest.raises(ParameterError):
         restricted_combined_family(4, 1, 2, 2)
 
 
@@ -278,15 +277,3 @@ def test_every_family_output_is_strong_and_valid_full_sweep():
                     deg = set(g.right_degrees().values())
                     assert deg == {comb(b, t) * comb(n - b, a - t)}, (n, a, b, t)
                     assert validate(coloring_to_pda(g)).is_valid, (n, a, b, t)
-
-
-def test_family_spec_dispatch():
-    assert params(FamilySpec("trivial").build_pda()).K == 2
-    assert params(FamilySpec("star", m=4).build_pda()).K == 4
-    assert params(FamilySpec("disjoint-union", n=4, a=1, b=2).build_pda()).K == 6
-    assert params(FamilySpec("intersection-t", n=4, a=2, b=2, t=1).build_pda()).K == 6
-    assert params(FamilySpec("restricted-combined", n=4, a=1, b=2, t=1).build_pda()).K == 12
-    with pytest.raises(FamilyParameterError):
-        FamilySpec("disjoint-union", n=4).build_pda()
-    with pytest.raises(FamilyParameterError):
-        FamilySpec("nope").build_pda()

@@ -51,7 +51,7 @@ def test_placement_matches_worked_example(example1):
 
 
 def test_cache_size_invariant(example1):
-    lib = FileLibrary.for_array(example1, 3, seed=5, bytes_per_packet=4)
+    lib = FileLibrary.random(3, 4 * example1.F, seed=5)
     caches = place(example1, lib)
     pr = params(example1)
     per_user = lib.n_files * pr.Z * (lib.file_len // pr.F)
@@ -339,7 +339,7 @@ def _assert_matches_reference(p: PdaArray, lib: FileLibrary, demands) -> int:
 
 def test_fast_path_matches_reference_on_the_roundtrip_catalog():
     for p, n_files in _roundtrip_catalog():
-        lib = FileLibrary.for_array(p, n_files, seed=103, bytes_per_packet=2)
+        lib = FileLibrary.random(n_files, 2 * p.F, seed=103)
         assert _assert_matches_reference(p, lib, _policy_demands(p, n_files)) == 0
 
 
@@ -347,7 +347,7 @@ def test_fast_path_matches_reference_on_the_roundtrip_catalog():
 def test_fast_path_matches_reference_on_the_simulated_array(packet_bytes):
     p = coloring_to_pda(cycle_product(disjoint_union_coloring(5, 1, 2), 6))
     assert (p.K, p.F, p.S) == (60, 30, 80)
-    lib = FileLibrary.for_array(p, 4, seed=packet_bytes, bytes_per_packet=packet_bytes)
+    lib = FileLibrary.random(4, packet_bytes * p.F, seed=packet_bytes)
     demands = random_demands(4, p.K, 12 if packet_bytes == 256 else 40, seed=104 + packet_bytes)
     assert _assert_matches_reference(p, lib, demands) == 0
 
@@ -369,6 +369,6 @@ def test_fast_path_matches_reference_on_condition_c_violations():
             broken += [_star_to_color(p, rng) for _ in range(6)]
     errors = 0
     for p in broken:
-        lib = FileLibrary.for_array(p, 2, seed=106, bytes_per_packet=3)
+        lib = FileLibrary.random(2, 3 * p.F, seed=106)
         errors += _assert_matches_reference(p, lib, random_demands(2, p.K, 64, seed=107))
     assert errors > 0
