@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import analytics, combinators, families, graphs, scheme
 from .core import (
@@ -29,8 +29,14 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-# `simulate` draws its whole library (N files of F one-byte packets) before the first demand.
+# `simulate` draws its whole library (N files of F one-byte packets) before the
+# first demand.  Each file also costs its bytes object's header and its slot in
+# the library's tuple, so the cap counts both.
 LIBRARY_CAP_BYTES = 2**20
+FILE_OVERHEAD_BYTES = sys.getsizeof(b"") + 8
+
+# `build` refuses an array of more cells (F x K) than a 2048 x 2048 one before building it.
+BUILD_CAP_CELLS = 2**22
 
 
 class UsageError(Exception):
@@ -51,23 +57,64 @@ def _write(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-# Each family's flags, in the order its builder takes them, and its builder,
-# which returns an array or a coloring.
+def _binomial_past_cap(n: int, k: int) -> int:
+    """C(n, k), or the first of its partial products C(n - k + i, i) past BUILD_CAP_CELLS.
+
+    Those products grow with i, so this stops early on any n, however large.
+    """
+    k = min(k, n - k)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i
+        if c > BUILD_CAP_CELLS:
+            break
+    return c
+
+
+# F x K of each family from its closed form, once its range check passes, or a
+# lower bound of it past the cap.  A star family below m = 1 is under the cap,
+# so its builder reports it.
+def _disjoint_union_cells(n: int, a: int, b: int) -> int:
+    analytics.check_disjoint_union(n, a, b)
+    return _binomial_past_cap(n, a) * _binomial_past_cap(n, b)
+
+
+def _intersection_t_cells(n: int, a: int, b: int, t: int) -> int:
+    analytics.check_intersection_t(n, a, b, t)
+    return _binomial_past_cap(n, a) * _binomial_past_cap(n, b)
+
+
+def _restricted_cells(n: int, a: int, b: int, t: int) -> int:
+    analytics.check_restricted(n, a, b, t)
+    return _binomial_past_cap(n, b - t) * _binomial_past_cap(n, a + t) * _binomial_past_cap(a + t, a)
+
+
+class Family(NamedTuple):
+    flags: tuple[str, ...]  # in the order the builder takes them
+    build: Callable  # returns an array or a coloring
+    cells: Callable[..., int]  # F x K, or a bound of it past the cap, from the same flags
+
+
 FAMILIES = {
-    "disjoint-union": (("n", "a", "b"), families.disjoint_union_coloring),
-    "intersection-t": (("n", "a", "b", "t"), families.intersection_t_coloring),
-    "restricted-combined": (("n", "a", "b", "t"), families.restricted_combined_family),
-    "trivial": ((), families.trivial_pda),
-    "star": (("m",), families.star_graph_coloring),
+    "disjoint-union": Family(("n", "a", "b"), families.disjoint_union_coloring, _disjoint_union_cells),
+    "intersection-t": Family(("n", "a", "b", "t"), families.intersection_t_coloring, _intersection_t_cells),
+    "restricted-combined": Family(("n", "a", "b", "t"), families.restricted_combined_family, _restricted_cells),
+    "trivial": Family((), families.trivial_pda, lambda: 4),
+    "star": Family(("m",), families.star_graph_coloring, lambda m: m),
 }
 
 
 def _cmd_build(args) -> int:
-    flags, build = FAMILIES[args.family]
-    for flag in flags:
+    family = FAMILIES[args.family]
+    for flag in family.flags:
         if getattr(args, flag) is None:
             raise UsageError(f"family {args.family!r} requires --{flag}")
-    built = build(*(getattr(args, flag) for flag in flags))
+    values = [getattr(args, flag) for flag in family.flags]
+    cells = family.cells(*values)
+    if cells > BUILD_CAP_CELLS:
+        raise UsageError(f"family {args.family!r} builds at least {cells} cells (F x K); "
+                         f"the cap is {BUILD_CAP_CELLS}")
+    built = family.build(*values)
     p = built if isinstance(built, PdaArray) else graphs.coloring_to_pda(built)
     _write(args.output, write_pda(p))
     print(f"wrote {args.output}: {params(p)}")
@@ -104,8 +151,10 @@ def _cmd_simulate(args) -> int:
     if args.files < 1:
         raise UsageError("--files must be at least 1")
     p = _load(args.file)
-    if args.files * p.F > LIBRARY_CAP_BYTES:
-        raise UsageError(f"--files {args.files} needs a library of {args.files * p.F} bytes; "
+    allocated = args.files * (p.F + FILE_OVERHEAD_BYTES)
+    if allocated > LIBRARY_CAP_BYTES:
+        raise UsageError(f"--files {args.files} needs a library of {args.files * p.F} bytes, "
+                         f"{allocated} with {FILE_OVERHEAD_BYTES} per file object; "
                          f"the cap is {LIBRARY_CAP_BYTES}")
     pr = params(p)
     lib = scheme.FileLibrary.for_array(p, args.files, args.seed)
@@ -218,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="run placement, delivery, and decoding")
     s.add_argument("file")
     s.add_argument("--files", type=int, required=True,
-                   help=f"library size N; the N files of F one-byte packets may total at most "
+                   help=f"library size N; the N files of F one-byte packets, plus "
+                        f"{FILE_OVERHEAD_BYTES} bytes per file object, may total at most "
                         f"{LIBRARY_CAP_BYTES} bytes")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--demand", help="comma-separated demand vector")

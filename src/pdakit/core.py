@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterator, Mapping, Optional
 
 # A grid entry: None encodes the star symbol, integers >= 1 are colors.
@@ -193,6 +193,24 @@ class PdaArray:
             frozenset(j for j, e in enumerate(column, start=1) if e is None) for column in zip(*self.grid)
         )
 
+    @cached_property
+    def decode_plan(self) -> tuple[tuple, Optional[tuple[int, int, int, int]]]:
+        """What each user strips out of the broadcast, built on first use for the protocol simulator.
+
+        Per column k, each colored row as 0-based (row, color - 1, others), others
+        being that color's (column, row) cells outside column k in slot order; then
+        the first such cell whose row is not a star of column k, as 1-based (user,
+        slot, its column, its row), or None when each user caches what it strips.
+        """
+        classes = self.entries_by_color()
+        users = tuple(
+            tuple((j, e - 1, tuple((k2, j2) for j2, k2 in classes[e] if k2 != k)) for j, e in column)
+            for k, column in enumerate(_colored_cells(self)[1])
+        )
+        gap = next(((k + 1, e + 1, k2 + 1, j2 + 1) for k, steps in enumerate(users) for _, e, others in steps
+                    for k2, j2 in others if self.grid[j2][k] is not None), None)
+        return users, gap
+
     def entries_by_color(self) -> dict[int, list[tuple[int, int]]]:
         """Map color -> 0-based (row, col) positions, in row-major order."""
         classes: dict[int, list[tuple[int, int]]] = {}
@@ -237,13 +255,13 @@ def _grid_violations(p: PdaArray) -> list[Violation]:
                 )
             )
 
+    grid = p.grid
     classes = p.entries_by_color()
     for color in sorted(classes):
         cells = classes[color]
-        for a in range(len(cells)):
-            j1, k1 = cells[a]
-            for b in range(a + 1, len(cells)):
-                j2, k2 = cells[b]
+        for a, (j1, k1) in enumerate(cells):
+            row1 = grid[j1]
+            for j2, k2 in cells[a + 1 :]:
                 if j1 == j2 or k1 == k2:
                     violations.append(
                         Violation(
@@ -252,13 +270,13 @@ def _grid_violations(p: PdaArray) -> list[Violation]:
                             f"color {color} repeats in a {'row' if j1 == j2 else 'column'}",
                         )
                     )
-                    continue
-                corners = []
-                if p.grid[j1][k2] is not None:
-                    corners.append((j1 + 1, k2 + 1))
-                if p.grid[j2][k1] is not None:
-                    corners.append((j2 + 1, k1 + 1))
-                if corners:
+                elif row1[k2] is not None or grid[j2][k1] is not None:
+                    # Only a violating pair builds its corner list.
+                    corners = []
+                    if row1[k2] is not None:
+                        corners.append((j1 + 1, k2 + 1))
+                    if grid[j2][k1] is not None:
+                        corners.append((j2 + 1, k1 + 1))
                     at = ", ".join(f"({j},{k})" for j, k in corners)
                     violations.append(
                         Violation(
@@ -287,9 +305,20 @@ class EquivalenceResult(Enum):
         return self.value
 
 
-def _signature(line: tuple[Entry, ...], class_sizes: Mapping[Entry, int]) -> tuple:
-    """Star count and sorted color-class sizes of one row or column."""
-    return (line.count(None), tuple(sorted(map(class_sizes.__getitem__, filter(None, line)))))
+def _colored_cells(p: PdaArray) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
+    """Per row its (column, color) cells and per column its (row, color) cells, in index order."""
+    # Colors are >= 1, so a row is its own selector of colored cells.
+    rows = [list(compress(enumerate(row), row)) for row in p.grid]
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(p.K)]
+    for j, cells in enumerate(rows):
+        for k, e in cells:
+            cols[k].append((j, e))
+    return rows, cols
+
+
+def _signature(cells: list[tuple[int, int]], length: int, class_sizes: Mapping[int, int]) -> tuple:
+    """Star count and sorted color-class sizes of one row or column, from its colored cells."""
+    return (length - len(cells), tuple(sorted([class_sizes[e] for _, e in cells])))
 
 
 def _candidates(sig1: list[tuple], sig2: list[tuple]) -> list[list[int]]:
@@ -311,8 +340,9 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
     stack is a list with one generator per matched row or column, so its
     depth (F + K) meets no recursion limit.
 
-    The set-up is linear in the cells (one count, one transpose, one signature
-    bucketing per side).  Results and budget accounting, BUDGET_EXHAUSTED at a
+    The set-up visits each side's colored cells a constant number of times
+    after one selection pass per row, so a mostly-star array costs little more
+    than its colors.  Results and budget accounting, BUDGET_EXHAUSTED at a
     given budget included, match the recursive per-cell search it replaced,
     which test_equivalent_matches_the_reference_search keeps as the reference.
     """
@@ -320,33 +350,35 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
     if (pr1.K, pr1.F, pr1.Z, pr1.S) != (pr2.K, pr2.F, pr2.Z, pr2.S):
         return EquivalenceResult.INEQUIVALENT
 
-    sizes1, sizes2 = Counter(chain.from_iterable(p1.grid)), Counter(chain.from_iterable(p2.grid))
-    sizes1.pop(None, None)
-    sizes2.pop(None, None)
+    rows1, cols1 = _colored_cells(p1)
+    rows2, cols2 = _colored_cells(p2)
+    sizes1 = Counter(e for cells in rows1 for _, e in cells)
+    sizes2 = Counter(e for cells in rows2 for _, e in cells)
     if sorted(sizes1.values()) != sorted(sizes2.values()):
         return EquivalenceResult.INEQUIVALENT
 
-    rsig1 = [_signature(row, sizes1) for row in p1.grid]
-    rsig2 = [_signature(row, sizes2) for row in p2.grid]
+    rsig1 = [_signature(cells, p1.K, sizes1) for cells in rows1]
+    rsig2 = [_signature(cells, p2.K, sizes2) for cells in rows2]
     if sorted(rsig1) != sorted(rsig2):
         return EquivalenceResult.INEQUIVALENT
-    cols1, cols2 = list(zip(*p1.grid)), list(zip(*p2.grid))
-    csig1 = [_signature(col, sizes1) for col in cols1]
-    csig2 = [_signature(col, sizes2) for col in cols2]
+    csig1 = [_signature(cells, p1.F, sizes1) for cells in cols1]
+    csig2 = [_signature(cells, p2.F, sizes2) for cells in cols2]
     if sorted(csig1) != sorted(csig2):
         return EquivalenceResult.INEQUIVALENT
 
     row_candidates = _candidates(rsig1, rsig2)
     row_order = sorted(range(p1.F), key=lambda j: len(row_candidates[j]))
-    col_candidates = _candidates(csig1, csig2)
-    col_order = sorted(range(p1.K), key=lambda k: len(col_candidates[k]))
+    col_counts = Counter(csig2)
+    col_order = sorted(range(p1.K), key=lambda k: col_counts[csig1[k]])
 
     # Columns are matched once every row is, so row_map is then a bijection and
     # column k's star rows map onto column c's exactly when its colored rows do;
-    # each colored cell of k then lands on a colored cell of c.  Colors are >= 1,
-    # so a column is its own selector of colored cells.
-    cells1 = [list(compress(enumerate(col), col)) for col in cols1]
-    colored_rows2 = [frozenset(compress(range(p2.F), col)) for col in cols2]
+    # each colored cell of k then lands on a colored cell of c.  So column k's
+    # candidates are p2's columns with its signature and with the image of its
+    # colored rows as theirs, in index order.
+    columns2: dict[tuple, list[int]] = {}
+    for c, cells in enumerate(cols2):
+        columns2.setdefault((csig2[c], frozenset([j for j, _ in cells])), []).append(c)
     row_map = [-1] * p1.F
     used_rows, used_cols = [False] * p2.F, [False] * p2.K
     fwd: dict[int, int] = {}
@@ -364,10 +396,9 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
                 used_rows[r] = False
 
     def match_column(k: int) -> Iterator[bool]:
-        cells = cells1[k]
-        image = frozenset([row_map[j] for j, _ in cells])
-        for c in col_candidates[k]:
-            if used_cols[c] or colored_rows2[c] != image:
+        cells = cols1[k]
+        for c in columns2.get((csig1[k], frozenset([row_map[j] for j, _ in cells])), ()):
+            if used_cols[c]:
                 continue
             added: list[int] = []
             ok = True

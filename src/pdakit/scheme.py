@@ -154,18 +154,44 @@ def place(p: PdaArray, lib: FileLibrary) -> CacheState:
     return CacheState(lib, p.star_rows, _packet_size(p, lib))
 
 
+def _broadcast(p: PdaArray, wanted: list[tuple[int, ...]]) -> list[int]:
+    """Per color s, the XOR of packets (demand[k], j) over its cells (j, k), as an int."""
+    sent = []
+    for senders in p.color_cells:
+        payload = 0
+        for j, k in senders:
+            payload ^= wanted[k - 1][j - 1]
+        sent.append(payload)
+    return sent
+
+
+def _decoded(p: PdaArray, sent: list[int], wanted: list[tuple[int, ...]], d: tuple[int, ...]) -> list[list[int]]:
+    """Per user, each colored row's packet as an int: its slot with the other senders' packets stripped."""
+    users, gap = p.decode_plan
+    if gap is not None:
+        k, s, k2, j2 = gap
+        raise DecodingError(user=k, packet=(d[k2 - 1], j2), slot=s)
+    out = []
+    for steps in users:
+        ints = []
+        for _, e, others in steps:
+            acc = sent[e]
+            for k2, j2 in others:
+                acc ^= wanted[k2][j2]
+            ints.append(acc)
+        out.append(ints)
+    return out
+
+
 def deliver(p: PdaArray, lib: FileLibrary, demand: Sequence[int]) -> BroadcastLog:
     """One slot per color: XOR of packets (demand[k], j) over cells (j, k) of that color."""
     size = _packet_size(p, lib)
     d = _check_demand(p, lib, demand)
-    wanted = [lib.packet_ints(i, p.F) for i in d]
-    slots = []
-    for s, senders in enumerate(p.color_cells, start=1):
-        payload = 0
-        for j, k in senders:
-            payload ^= wanted[k - 1][j - 1]
-        slots.append(Slot(color=s, payload=payload.to_bytes(size, "big"), senders=senders))
-    return BroadcastLog(tuple(slots))
+    sent = _broadcast(p, [lib.packet_ints(i, p.F) for i in d])
+    return BroadcastLog(tuple(
+        Slot(color=s, payload=payload.to_bytes(size, "big"), senders=senders)
+        for s, (payload, senders) in enumerate(zip(sent, p.color_cells), start=1)
+    ))
 
 
 def decode(
@@ -176,41 +202,42 @@ def decode(
     For a colored cell (j, k) with color s, user k strips the other
     contributors' packets out of slot s; those packets are cached whenever the
     array satisfies condition C, otherwise DecodingError identifies the gap.
+    The senders come from the array, so of the log only its payloads are read.
     """
     lib, size = caches.library, caches.packet_bytes
     d = _check_demand(p, lib, demand)
+    if len(log.slots) != p.S:
+        raise SchemeError(f"broadcast log has {len(log.slots)} slots, the array has S={p.S}")
     wanted = [lib.packet_ints(i, p.F) for i in d]
-    received = [(int.from_bytes(slot.payload, "big"), slot.senders) for slot in log.slots]
+    decoded = _decoded(p, [int.from_bytes(slot.payload, "big") for slot in log.slots], wanted, d)
     out = []
-    for k, (rows, mine) in enumerate(zip(caches.rows, wanted), start=1):
-        parts = []
-        for j, grid_row in enumerate(p.grid, start=1):
-            e = grid_row[k - 1]
-            if e is None:
-                parts.append(mine[j - 1].to_bytes(size, "big"))
-                continue
-            acc, senders = received[e - 1]
-            for j2, k2 in senders:
-                if k2 == k:
-                    continue
-                if j2 not in rows:
-                    raise DecodingError(user=k, packet=(d[k2 - 1], j2), slot=e)
-                acc ^= wanted[k2 - 1][j2 - 1]
-            parts.append(acc.to_bytes(size, "big"))
+    for i, steps, ints in zip(d, p.decode_plan[0], decoded):
+        cached = lib.files[i - 1]  # read only at the star rows, one slice per run of them
+        parts, at = [], 0
+        for (j, _, _), acc in zip(steps, ints):
+            parts += cached[at * size : j * size], acc.to_bytes(size, "big")
+            at = j + 1
+        parts.append(cached[at * size :])
         out.append(b"".join(parts))
     return tuple(out)
 
 
 def verify_roundtrip(p: PdaArray, lib: FileLibrary, demand: Sequence[int]) -> bool:
-    """Place, deliver, decode, and compare every reconstruction byte for byte."""
+    """Deliver and decode on ints, and compare each colored row's packet with the library's.
+
+    A star row is the library's own packet.  Packets are fixed-width and
+    big-endian, so equal ints are equal bytes: no slot or byte string is built.
+    """
     d = _check_demand(p, lib, demand)
-    caches = place(p, lib)
-    log = deliver(p, lib, d)
+    _packet_size(p, lib)  # rejects files that do not split into F packets
+    files = {i: lib.packet_ints(i, p.F) for i in set(d)}
+    wanted = [files[i] for i in d]
     try:
-        rebuilt = decode(p, caches, log, d)
+        decoded = _decoded(p, _broadcast(p, wanted), wanted, d)
     except DecodingError:
         return False
-    return all(rebuilt[k - 1] == lib.files[d[k - 1] - 1] for k in range(1, p.K + 1))
+    return all(acc == mine[j] for mine, steps, ints in zip(wanted, p.decode_plan[0], decoded)
+               for (j, _, _), acc in zip(steps, ints))
 
 
 def exhaustive_demands(n_files: int, users: int) -> Iterator[tuple[int, ...]]:

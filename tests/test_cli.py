@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,56 @@ def test_build_usage_error_on_missing_parameter(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main(["build", "--family", "nope", "-o", str(out)])
     assert info.value.code == 2
+
+
+def _never_built(*args):
+    raise AssertionError("the family was built")
+
+
+@pytest.mark.parametrize(
+    "family, flags, cells",
+    [
+        ("disjoint-union", ["--n", "24", "--a", "12", "--b", "12"], 2_704_156**2),
+        ("star", ["--m", "5000000"], 5_000_000),
+        ("star", ["--m", str(2**22 + 1)], 2**22 + 1),
+        ("restricted-combined", ["--n", "30", "--a", "6", "--b", "7", "--t", "2"], None),
+        ("intersection-t", ["--n", str(10**12), "--a", str(10**11), "--b", "3", "--t", "1"], None),
+    ],
+    ids=["disjoint-union-24-12-12", "star-5000000", "star-past-the-cap", "restricted", "huge-n"],
+)
+def test_build_refuses_an_array_over_the_cell_cap_before_building_it(
+    tmp_path, monkeypatch, capsys, family, flags, cells
+):
+    monkeypatch.setitem(cli.FAMILIES, family, cli.FAMILIES[family]._replace(build=_never_built))
+    out = tmp_path / "big.pda"
+    assert main(["build", "--family", family, *flags, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"error: family {family!r} builds at least ")
+    assert captured.err.endswith(f" cells (F x K); the cap is {cli.BUILD_CAP_CELLS}\n")
+    if cells is not None:
+        assert f" at least {cells} cells " in captured.err
+
+
+def test_build_reports_illegal_parameters_before_their_size(tmp_path, capsys):
+    # C(100, 60)^2 is far past the cap, but a + b > n is the fault to report.
+    argv = ["build", "--family", "disjoint-union", "--n", "100", "--a", "60", "--b", "60"]
+    assert main([*argv, "-o", str(tmp_path / "x.pda")]) == 2
+    assert capsys.readouterr().err == "error: need a, b >= 1 and a + b <= n, got n=100 a=60 b=60\n"
+
+
+def test_build_admits_an_array_of_2048_squared_cells(tmp_path, monkeypatch):
+    # A star family of 2^22 columns has as many cells as a 2048 x 2048 array.
+    built = []
+
+    def trivial_instead(m):
+        built.append(m)
+        return families.trivial_pda()
+
+    monkeypatch.setitem(cli.FAMILIES, "star", cli.FAMILIES["star"]._replace(build=trivial_instead))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["build", "--family", "star", "--m", str(2**22), "-o", str(tmp_path / "s.pda")]) == 0
+    assert built == [2**22] == [cli.BUILD_CAP_CELLS] == [2048 * 2048]
 
 
 # The flags each family requires, in the order `build` asks for them.
@@ -306,6 +357,30 @@ def test_simulate_refuses_a_library_over_the_cap_before_drawing_it(ex1_file, mon
     assert f"{cli.LIBRARY_CAP_BYTES} bytes" in capsys.readouterr().out
 
 
+def test_simulate_cap_counts_each_file_object(tmp_path, monkeypatch, capsys):
+    # One packet per file: the content alone is 1 byte a file, so at 2^20 files
+    # the bytes objects and their tuple slots are most of what would be drawn.
+    row = tmp_path / "row.pda"
+    row.write_text("pda v1\nK=3 F=1 Z=0 S=3\n1 2 3\n")
+    admitted = cli.LIBRARY_CAP_BYTES // (1 + cli.FILE_OVERHEAD_BYTES)
+    assert main(["simulate", str(row), "--files", str(admitted), "--demand", "1,2,1"]) == 0
+    assert capsys.readouterr().out.startswith("demand 1,2,1: pass\n")
+
+    def no_library(*args):
+        raise AssertionError("the library was drawn")
+
+    monkeypatch.setattr(scheme.FileLibrary, "random", no_library)
+    for files in (admitted + 1, 2**20):
+        assert main(["simulate", str(row), "--files", str(files), "--demand", "1,2,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --files {files} needs a library of {files} bytes, "
+            f"{files * (1 + cli.FILE_OVERHEAD_BYTES)} with {cli.FILE_OVERHEAD_BYTES} per file object; "
+            f"the cap is {cli.LIBRARY_CAP_BYTES}\n"
+        )
+
+
 @pytest.mark.parametrize(
     "extra", [["--demand", ""], ["--demand", "", "--exhaustive"]], ids=["alone", "with-exhaustive"]
 )
@@ -354,6 +429,66 @@ def test_simulate_returns_an_exit_code_for_any_demand(simulate_files, name, dema
         assert exc.code == 2
     else:
         assert code in (0, 1, 2, 3)
+
+
+def _relabeled(text: str, rnd: random.Random) -> str:
+    """The array in text under a seeded row, column and color relabeling, as text."""
+    p = read_pda(text)
+    rows, cols, colors = list(range(p.F)), list(range(p.K)), [None, *range(1, p.S + 1)]
+    rnd.shuffle(rows)
+    rnd.shuffle(cols)
+    colors[1:] = rnd.sample(colors[1:], p.S)
+    return write_pda(core.PdaArray([[colors[p.grid[j][k] or 0] for k in cols] for j in rows]))
+
+
+def _spliced(text: str, at: int, piece: str) -> str:
+    """text with one piece inserted at a position, or its tail cut there when piece is empty."""
+    at %= len(text) + 1
+    return text[:at] if piece == "" else text[:at] + piece + text[at:]
+
+
+VALID_TEXTS = [
+    EX1_TEXT,
+    STRIP_TEXT,
+    "pda v1\nK=2 F=2 Z=1 S=1\n* 1\n1 *\n",
+    write_pda(graphs.coloring_to_pda(families.disjoint_union_coloring(4, 1, 2))),
+    write_pda(graphs.coloring_to_pda(families.intersection_t_coloring(4, 2, 2, 1))),
+    write_pda(graphs.coloring_to_pda(
+        combinators.star_product([graphs.pda_to_coloring(families.trivial_pda())] * 3)
+    )),
+]
+ARRAY_TEXTS = (
+    st.sampled_from([*VALID_TEXTS, BROKEN_TEXT])
+    | st.builds(_relabeled, st.sampled_from(VALID_TEXTS), st.randoms(use_true_random=False))
+    | st.builds(_spliced, st.sampled_from(VALID_TEXTS), st.integers(0, 400),
+                st.sampled_from(["", "*", "1", "9", " ", "\n", "x", "0", "99999"]))
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(
+    command=st.sampled_from(["equiv", "validate", "params"]),
+    texts=st.lists(ARRAY_TEXTS, min_size=2, max_size=2),
+    budget=st.none() | st.integers(min_value=-2, max_value=10**6),
+)
+@settings(max_examples=300, deadline=None)
+def test_equiv_validate_and_params_return_an_exit_code_for_any_file(fuzz_folder, command, texts, budget):
+    paths = [fuzz_folder / "first.pda", fuzz_folder / "second.pda"]
+    for path, text in zip(paths, texts):
+        path.write_text(text, encoding="utf-8")
+    argv = [command, str(paths[0])]
+    if command == "equiv":
+        argv.append(str(paths[1]))
+        if budget is not None:
+            argv += ["--budget", str(budget)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
 
 
 def test_table_output(capsys, tmp_path):

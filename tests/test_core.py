@@ -6,9 +6,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import _roundtrip_catalog, _star_to_color
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdakit import core
 from pdakit.combinators import cycle_product, star_product
 from pdakit.core import (
     EquivalenceResult,
@@ -16,6 +18,7 @@ from pdakit.core import (
     PdaArray,
     PdaError,
     PdaFormatError,
+    Violation,
     equivalent,
     params,
     read_pda,
@@ -105,6 +108,91 @@ def test_grid_rows_are_stored_as_tuples():
     assert p.star_count(0) == 1
     assert p == PdaArray([[None, 1], [1, None]])
     assert hash(p) == hash(PdaArray([[None, 1], [1, None]]))
+
+
+def _reference_grid_violations(p: PdaArray) -> list[Violation]:
+    """The grid scan with a corner list built for every pair of unequal rows and columns."""
+    violations: list[Violation] = []
+
+    counts = [p.star_count(k) for k in range(p.K)]
+    base = counts[0]
+    for k, c in enumerate(counts[1:], start=1):
+        if c != base:
+            violations.append(
+                Violation(
+                    "A",
+                    ((base, 1), (c, k + 1)),
+                    f"column 1 has {base} stars, column {k + 1} has {c}",
+                )
+            )
+
+    classes = p.entries_by_color()
+    for color in sorted(classes):
+        cells = classes[color]
+        for a in range(len(cells)):
+            j1, k1 = cells[a]
+            for b in range(a + 1, len(cells)):
+                j2, k2 = cells[b]
+                if j1 == j2 or k1 == k2:
+                    violations.append(
+                        Violation(
+                            "B",
+                            ((j1 + 1, k1 + 1), (j2 + 1, k2 + 1)),
+                            f"color {color} repeats in a {'row' if j1 == j2 else 'column'}",
+                        )
+                    )
+                    continue
+                corners = []
+                if p.grid[j1][k2] is not None:
+                    corners.append((j1 + 1, k2 + 1))
+                if p.grid[j2][k1] is not None:
+                    corners.append((j2 + 1, k1 + 1))
+                if corners:
+                    at = ", ".join(f"({j},{k})" for j, k in corners)
+                    violations.append(
+                        Violation(
+                            "C",
+                            ((j1 + 1, k1 + 1), (j2 + 1, k2 + 1)),
+                            f"color {color}: non-star corner at {at}",
+                        )
+                    )
+    return violations
+
+
+def _assert_grid_scan_matches_reference(p: PdaArray) -> bool:
+    """Assert equal reports (kind, witness, detail and order); return whether p is valid."""
+    got = core._grid_violations(p)
+    assert got == _reference_grid_violations(p)
+    return not got
+
+
+def test_grid_scan_matches_the_reference_on_the_restricted_sweep():
+    n = 9
+    cases = [(a, b, t) for a in range(1, n) for b in range(1, n - a + 1) for t in range(b)]
+    assert len(cases) == 120
+    assert all(_assert_grid_scan_matches_reference(restricted_combined_family(n, *c)) for c in cases)
+
+
+def test_grid_scan_matches_the_reference_on_mutants():
+    rng = random.Random(114)
+    verdicts = []
+    for p, _ in _roundtrip_catalog():
+        if p.S and p.star_count(0):
+            verdicts += [_assert_grid_scan_matches_reference(_star_to_color(p, rng)) for _ in range(6)]
+    star = coloring_to_pda(star_product([pda_to_coloring(trivial_pda())] * 8))
+    assert _assert_grid_scan_matches_reference(star)
+    for _ in range(40):  # one to three cells of the 256 x 256 star product overwritten
+        rows = [list(row) for row in star.grid]
+        for _ in range(rng.randint(1, 3)):
+            rows[rng.randrange(star.F)][rng.randrange(star.K)] = rng.choice([None, 1])
+        verdicts.append(_assert_grid_scan_matches_reference(PdaArray(rows)))
+    assert not all(verdicts)
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_grid_scan_matches_the_reference_on_small_grids(seed):
+    _assert_grid_scan_matches_reference(random_structural_array(random.Random(seed)))
 
 
 def test_params_example1(example1):

@@ -3,16 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import _roundtrip_catalog, _star_to_color
 
-from pdakit.combinators import cycle_product, star_product
+from pdakit.combinators import cycle_product
 from pdakit.core import EquivalenceResult, PdaArray, equivalent, params, validate
-from pdakit.families import (
-    disjoint_union_coloring,
-    intersection_t_coloring,
-    restricted_combined_family,
-    star_graph_coloring,
-    trivial_pda,
-)
+from pdakit.families import disjoint_union_coloring, trivial_pda
 from pdakit.graphs import coloring_to_pda, pda_to_coloring
 from pdakit.scheme import (
     BroadcastLog,
@@ -146,19 +141,6 @@ def test_roundtrip_on_cycle_product_array():
         assert verify_roundtrip(p, lib, d)
 
 
-def _roundtrip_catalog() -> list[tuple[PdaArray, int]]:
-    """Generated arrays with a library size each, for the round-trip sweeps."""
-    return [
-        (trivial_pda(), 3),
-        (coloring_to_pda(disjoint_union_coloring(4, 1, 2)), 2),
-        (coloring_to_pda(intersection_t_coloring(4, 2, 2, 1)), 3),
-        (coloring_to_pda(star_graph_coloring(3)), 4),
-        (coloring_to_pda(star_product([pda_to_coloring(trivial_pda())] * 2)), 3),
-        (restricted_combined_family(4, 1, 2, 1), 2),
-        (coloring_to_pda(cycle_product(pda_to_coloring(trivial_pda()), 6)), 3),
-    ]
-
-
 def _policy_demands(p: PdaArray, n_files: int) -> list[tuple[int, ...]]:
     """Exhaustive demands when N^K <= 4096, otherwise 200 seeded vectors."""
     if n_files**p.K <= 4096:
@@ -236,6 +218,34 @@ def test_protocol_views_are_built_once_per_array_and_only_when_simulated(example
     assert place(example1, lib).rows is place(example1, lib).rows
     assert lib.packet_ints(1, example1.F) is lib.packet_ints(1, example1.F)
     assert set(lib._packet_ints) == {(example1.F, 1), (example1.F, 2)}  # only demanded files
+
+
+def test_decode_rejects_a_log_of_the_wrong_slot_count(example1):
+    p = trivial_pda()
+    lib = FileLibrary.for_array(p, 2, seed=0)
+    other = deliver(example1, FileLibrary.for_array(example1, 2, seed=0), (1, 2, 1, 2))
+    for log, count in ((BroadcastLog(()), 0), (other, 4)):
+        with pytest.raises(SchemeError, match=rf"broadcast log has {count} slots, the array has S=1$"):
+            decode(p, place(p, lib), log, (1, 2))
+
+
+def test_the_decode_plan_is_built_once_per_array_and_only_when_simulated(example1):
+    validate(example1)
+    assert equivalent(example1, example1) is EquivalenceResult.EQUIVALENT
+    assert "decode_plan" not in vars(example1)
+    lib = FileLibrary.for_array(example1, 2, seed=0)
+    assert verify_roundtrip(example1, lib, (1, 2, 1, 2))
+    plan = vars(example1)["decode_plan"]
+    log = deliver(example1, lib, (2, 1, 2, 1))
+    decode(example1, place(example1, lib), log, (2, 1, 2, 1))
+    assert verify_roundtrip(example1, lib, (1, 1, 1, 1))
+    assert vars(example1)["decode_plan"] is plan
+    users, gap = plan
+    # User 1's colored rows 2 and 4 (0-based 1 and 3) strip the cells of colors 1 and 2 in column 2.
+    assert users[0] == ((1, 0, ((1, 0),)), (3, 1, ((1, 2),)))
+    assert gap is None
+    # User 1 needs row 2 of user 2 for slot 1, and has no star there.
+    assert PdaArray([[1, 2], [2, 1]]).decode_plan[1] == (1, 1, 2, 2)
 
 
 def test_library_construction_errors():
@@ -352,15 +362,6 @@ def test_fast_path_matches_reference_on_the_simulated_array(packet_bytes):
     assert _assert_matches_reference(p, lib, demands) == 0
 
 
-def _star_to_color(p: PdaArray, rng: random.Random) -> PdaArray:
-    """p with one seeded star replaced by an existing color: usually breaks A, B or C."""
-    stars = [(j, k) for j, row in enumerate(p.grid) for k, e in enumerate(row) if e is None]
-    j, k = rng.choice(stars)
-    rows = [list(row) for row in p.grid]
-    rows[j][k] = rng.randint(1, p.S)
-    return PdaArray(rows)
-
-
 def test_fast_path_matches_reference_on_condition_c_violations():
     broken = [PdaArray([[1, 2], [2, 1]]), PdaArray([[1], [1]])]
     rng = random.Random(105)
@@ -372,3 +373,48 @@ def test_fast_path_matches_reference_on_condition_c_violations():
         lib = FileLibrary.random(2, 3 * p.F, seed=106)
         errors += _assert_matches_reference(p, lib, random_demands(2, p.K, 64, seed=107))
     assert errors > 0
+
+
+def _ref_roundtrip(p: PdaArray, lib: FileLibrary, d: tuple[int, ...]) -> bool:
+    """The round trip composed from the per-byte reference: place, deliver, decode, compare files."""
+    try:
+        rebuilt = _ref_decode(p, _ref_place(p, lib), _ref_deliver(p, lib, d), d)
+    except DecodingError:
+        return False
+    return all(rebuilt[k] == lib.files[d[k] - 1] for k in range(p.K))
+
+
+def _assert_roundtrip_matches_reference(p: PdaArray, lib: FileLibrary, demands) -> int:
+    """Compare verify_roundtrip with the reference composition; return the failure count."""
+    failures = 0
+    for d in demands:
+        ok = verify_roundtrip(p, lib, d)
+        assert ok is _ref_roundtrip(p, lib, d), d
+        failures += not ok
+    return failures
+
+
+def test_verify_roundtrip_matches_the_reference_on_the_roundtrip_catalog():
+    for p, n_files in _roundtrip_catalog():
+        lib = FileLibrary.random(n_files, 2 * p.F, seed=108)
+        assert _assert_roundtrip_matches_reference(p, lib, _policy_demands(p, n_files)) == 0
+
+
+def test_verify_roundtrip_matches_the_reference_on_the_simulated_array():
+    p = coloring_to_pda(cycle_product(disjoint_union_coloring(5, 1, 2), 6))
+    assert (p.K, p.F) == (60, 30)
+    lib = FileLibrary.random(4, 3 * p.F, seed=109)
+    assert _assert_roundtrip_matches_reference(p, lib, random_demands(4, p.K, 40, seed=110)) == 0
+
+
+def test_verify_roundtrip_matches_the_reference_on_condition_b_and_c_violations():
+    broken = [PdaArray([[1, 2], [2, 1]]), PdaArray([[1], [1]]), PdaArray([[1, None], [1, None]])]
+    rng = random.Random(111)
+    for p, _ in _roundtrip_catalog():
+        if p.S and p.star_count(0):
+            broken += [_star_to_color(p, rng) for _ in range(6)]
+    failures = 0
+    for p in broken:
+        lib = FileLibrary.random(2, 2 * p.F, seed=112)
+        failures += _assert_roundtrip_matches_reference(p, lib, random_demands(2, p.K, 64, seed=113))
+    assert failures > 0
