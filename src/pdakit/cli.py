@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 invalid, unreadable or incompatible array file,
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -35,7 +37,7 @@ EXIT_INTERNAL = 3
 LIBRARY_CAP_BYTES = 2**20
 FILE_OVERHEAD_BYTES = sys.getsizeof(b"") + 8
 
-# `build` refuses an array of more cells (F x K) than a 2048 x 2048 one before building it.
+# `build` and `combine` refuse an array of more cells (F x K) than a 2048 x 2048 one before building it.
 BUILD_CAP_CELLS = 2**22
 
 
@@ -134,13 +136,19 @@ def _cmd_params(args) -> int:
     return EXIT_OK
 
 
+# As read_pda's tokens: int() alone would also take other scripts' digits, signs, spaces and '_'.
+_DEMAND_RE = re.compile(r"[0-9]+(,[0-9]+)*")
+
+
 def _demands_for(p: PdaArray, args) -> Iterable[tuple[int, ...]]:
     if args.demand is not None and args.exhaustive:
         raise UsageError("--demand and --exhaustive are mutually exclusive")
     if args.demand is not None:
+        if not _DEMAND_RE.fullmatch(args.demand):
+            raise UsageError(f"bad --demand {args.demand!r}: expected comma-separated ASCII decimal integers")
         try:
             return [tuple(int(tok) for tok in args.demand.split(","))]
-        except ValueError as exc:
+        except ValueError as exc:  # a token longer than int() converts
             raise UsageError(f"bad --demand {args.demand!r}: {exc}") from exc
     if args.exhaustive or args.files**p.K <= 4096:
         return scheme.exhaustive_demands(args.files, p.K)
@@ -172,27 +180,46 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _combined_cells(args, arrays: list[PdaArray]) -> int:
+    """After the mode's usage checks, F x K of the combination from its inputs' shapes.
+
+    Exact except for same-colors, which gets a bound.  An unsupported cycle
+    length counts as no cells, so the operator reports it.
+    """
+    if args.mode in ("same-colors", "star"):
+        if len(arrays) < 2:
+            raise UsageError(f"{args.mode} needs at least two input files")
+        if args.mode == "star":
+            return math.prod(p.F for p in arrays) * math.prod(p.K for p in arrays)
+        # Each step's rows are the columns so far, and its columns some pairs of
+        # the rows so far with the next factor's rows.
+        F, K = arrays[0].F, arrays[0].K
+        for p in arrays[1:]:
+            F, K = K, F * p.F
+        return F * K
+    if args.mode == "tensor":
+        if len(arrays) != 2:
+            raise UsageError("tensor takes exactly two input files")
+        p1, p2 = arrays
+        return p1.F * p1.K * (p2.F + p2.K) ** 2
+    if len(arrays) != 1:
+        raise UsageError("cycle takes exactly one input file")
+    if args.m is None:
+        raise UsageError("cycle requires --m")
+    return args.m**2 * arrays[0].F * arrays[0].K if analytics.cycle_length_supported(args.m) else 0
+
+
 def _combine_graphs(args, arrays: list[PdaArray]) -> graphs.ColoredBipartiteGraph:
     colorings = [graphs.pda_to_coloring(p) for p in arrays]
     if args.mode == "same-colors":
-        if len(colorings) < 2:
-            raise UsageError("same-colors needs at least two input files")
         return combinators.combine_same_colors_fold(colorings)
     if args.mode == "star":
-        if len(colorings) < 2:
-            raise UsageError("star needs at least two input files")
         return combinators.star_product(colorings)
     if args.mode == "tensor":
-        if len(colorings) != 2:
-            raise UsageError("tensor takes exactly two input files")
         g1, g2 = (graphs.as_general_graph(c) for c in colorings)
         product = combinators.tensor_product(g1, g2)
         left = [v for v in product.vertices if v[0][0] == "row"]
         return graphs.split_bipartite(product, left)
-    if len(colorings) != 1:
-        raise UsageError("cycle takes exactly one input file")
-    if args.m is None:
-        raise UsageError("cycle requires --m")
     return combinators.cycle_product(colorings[0], args.m)
 
 
@@ -201,6 +228,10 @@ def _cmd_combine(args) -> int:
     for path, p in zip(args.files, arrays):
         if not validate(p).is_valid:
             raise InvalidPdaError(f"{path} is not a valid PDA")
+    cells = _combined_cells(args, arrays)
+    if cells > BUILD_CAP_CELLS:
+        raise UsageError(f"mode {args.mode!r} builds up to {cells} cells (F x K); "
+                         f"the cap is {BUILD_CAP_CELLS}")
     combined = _combine_graphs(args, arrays)
     p = graphs.coloring_to_pda(combined)
     measured = params(p)

@@ -88,22 +88,14 @@ def same_colors_claimed_params(p1: PdaArray, p2: PdaArray) -> tuple[int, int, in
     array; they are reported alongside measured values, never substituted for
     them.
     """
-    colors1_by_row = [set(e for e in row if e is not None) for row in p1.grid]
-    colors2_by_row = [set(e for e in row if e is not None) for row in p2.grid]
-    k_claim = sum(
-        1
-        for c1 in colors1_by_row
-        for c2 in colors2_by_row
-        if c1 & c2
-    )
-    f_claim = p1.K
-    colors2_all = set().union(*colors2_by_row) if colors2_by_row else set()
-    sharing_cols = sum(
-        1
-        for k in range(p1.K)
-        if any(p1.grid[j][k] is not None and p1.grid[j][k] in colors2_all for j in range(p1.F))
-    )
-    z_claim = p1.K - sharing_cols
+    # Colors are dense, so p2's colors are 1..S2, and the colors the arrays share are 1..min(S1, S2).
+    shared = range(min(p1.S, p2.S))
+    K1, K2 = p1.K, p2.K
+    row_pairs = {(c1 // K1, c2 // K2) for s in shared for c1 in p1._classes[s] for c2 in p2._classes[s]}
+    k_claim = len(row_pairs)
+    f_claim = K1
+    sharing_cols = {c % K1 for s in shared for c in p1._classes[s]}
+    z_claim = K1 - len(sharing_cols)
     s_claim = p2.S * p2.K
     return (k_claim, f_claim, z_claim, s_claim)
 

@@ -16,13 +16,13 @@ combinator in this package.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import compress
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 # A grid entry: None encodes the star symbol, integers >= 1 are colors.
 Entry = Optional[int]
@@ -119,7 +119,8 @@ class PdaArray:
     """An F x K grid over {star} u {1..S}, with colors dense in 1..S.
 
     Construction enforces structural well-formedness only (rectangular shape,
-    colors >= 1 with no gaps); conditions A, B, C are checked by
+    colors >= 1 with no gaps) and, in the same pass, indexes the colored
+    cells for every later reader; conditions A, B, C are checked by
     :func:`validate`, which keeps its report on the array, so each array is
     scanned at most once.  ``legend`` optionally maps each dense color index
     back to the structured label it replaced (set by graph-to-PDA conversion)
@@ -130,6 +131,10 @@ class PdaArray:
     legend: Optional[Mapping[int, object]] = field(default=None, compare=False)
     # Number of distinct colors present, counted by the pass that checks the grid.
     S: int = field(init=False, repr=False, compare=False)
+    # The colored-cell index, never changed after that pass: per color 1..S its
+    # cells as row * K + column in row-major order, and per column its star count.
+    _classes: tuple[list[int], ...] = field(init=False, repr=False, compare=False)
+    _stars: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # The report of validate's first scan; never the graph oracle's verdict.
     _report: Optional[ValidationReport] = field(default=None, init=False, repr=False, compare=False)
 
@@ -140,23 +145,36 @@ class PdaArray:
         if not self.grid or not self.grid[0]:
             raise PdaError("grid must have at least one row and one column")
         width = len(self.grid[0])
-        seen: set[int] = set()
+        columns = tuple(range(width))  # a tuple, so selecting from it makes no int objects
+        classes: defaultdict[int, list[int]] = defaultdict(list)
+        colored = [0] * width
         for j, row in enumerate(self.grid):
             if len(row) != width:
                 raise PdaError(f"row {j + 1} has {len(row)} entries, expected {width}")
-            for entry in row:
-                if entry is None:
-                    continue
-                if not isinstance(entry, int) or isinstance(entry, bool) or entry < 1:
+            # Colors are >= 1, so a row selects its own colored cells.  A falsy
+            # entry other than a star (0, False, '') is neither selected nor a
+            # star, so such a row is walked cell by cell to name its first bad entry.
+            cells = list(compress(columns, row))
+            if len(cells) + row.count(None) < width:
+                cells = [k for k in columns if row[k] is not None]
+            at = j * width
+            for k in cells:
+                entry = row[k]
+                # A plain int skips the subclass tests; bool is an int subclass but no color.
+                if type(entry) is not int and (not isinstance(entry, int) or isinstance(entry, bool)) or entry < 1:
                     raise PdaError(f"bad entry {entry!r} in row {j + 1}: colors are integers >= 1")
-                seen.add(entry)
-        if seen:
-            missing = sorted(set(range(1, max(seen) + 1)) - seen)
-            if missing:
-                raise PdaError(f"color gap: {missing[0]} absent but {max(seen)} present")
-        if self.legend is not None and set(self.legend) != seen:
+                classes[entry].append(at + k)
+                colored[k] += 1
+        S = len(classes)
+        if classes and max(classes) != S:
+            # S distinct colors, the largest above S, so one of 1..S is absent.
+            missing = min(set(range(1, S + 1)) - classes.keys())
+            raise PdaError(f"color gap: {missing} absent but {max(classes)} present")
+        if self.legend is not None and set(self.legend) != classes.keys():
             raise PdaError("legend keys must be exactly the colors present")
-        object.__setattr__(self, "S", len(seen))
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "_classes", tuple(classes[s] for s in range(1, S + 1)))
+        object.__setattr__(self, "_stars", tuple(len(self.grid) - c for c in colored))
 
     @property
     def F(self) -> int:
@@ -168,30 +186,20 @@ class PdaArray:
         """Column count (users)."""
         return len(self.grid[0])
 
-    @cached_property
-    def _star_counts(self) -> tuple[int, ...]:
-        """Stars per column, counted in one pass over the grid on first access."""
-        return tuple(column.count(None) for column in zip(*self.grid))
-
     def star_count(self, k: int) -> int:
-        return self._star_counts[k]
+        return self._stars[k]
 
     @cached_property
     def color_cells(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per color 1..S, its 1-based (row, column) cells in row-major order.
-
-        Built on first use and kept with the array, for the protocol simulator;
-        :func:`validate` uses the transient :meth:`entries_by_color` instead.
-        """
-        classes = self.entries_by_color()
-        return tuple(tuple((j + 1, k + 1) for j, k in classes[s]) for s in range(1, self.S + 1))
+        """Per color 1..S, its 1-based (row, column) cells in row-major order; built on first use."""
+        K = self.K
+        return tuple(tuple((c // K + 1, c % K + 1) for c in cells) for cells in self._classes)
 
     @cached_property
     def star_rows(self) -> tuple[frozenset[int], ...]:
         """Per column, the 1-based rows holding a star; built on first use."""
-        return tuple(
-            frozenset(j for j, e in enumerate(column, start=1) if e is None) for column in zip(*self.grid)
-        )
+        every = frozenset(range(1, self.F + 1))
+        return tuple(every.difference([j + 1 for j, _ in column]) for column in _colored_cells(self)[1])
 
     @cached_property
     def decode_plan(self) -> tuple[tuple, Optional[tuple[int, int, int, int]]]:
@@ -202,23 +210,15 @@ class PdaArray:
         the first such cell whose row is not a star of column k, as 1-based (user,
         slot, its column, its row), or None when each user caches what it strips.
         """
-        classes = self.entries_by_color()
+        K = self.K
+        classes = [[divmod(c, K) for c in cells] for cells in self._classes]
         users = tuple(
-            tuple((j, e - 1, tuple((k2, j2) for j2, k2 in classes[e] if k2 != k)) for j, e in column)
+            tuple((j, e - 1, tuple((k2, j2) for j2, k2 in classes[e - 1] if k2 != k)) for j, e in column)
             for k, column in enumerate(_colored_cells(self)[1])
         )
         gap = next(((k + 1, e + 1, k2 + 1, j2 + 1) for k, steps in enumerate(users) for _, e, others in steps
                     for k2, j2 in others if self.grid[j2][k] is not None), None)
         return users, gap
-
-    def entries_by_color(self) -> dict[int, list[tuple[int, int]]]:
-        """Map color -> 0-based (row, col) positions, in row-major order."""
-        classes: dict[int, list[tuple[int, int]]] = {}
-        for j, row in enumerate(self.grid):
-            # Colors are >= 1, so a row is its own selector of colored cells.
-            for k, e in compress(enumerate(row), row):
-                classes.setdefault(e, []).append((j, k))
-        return classes
 
     def __str__(self) -> str:
         return "\n".join(
@@ -243,7 +243,7 @@ def validate(p: PdaArray) -> ValidationReport:
 def _grid_violations(p: PdaArray) -> list[Violation]:
     violations: list[Violation] = []
 
-    counts = [p.star_count(k) for k in range(p.K)]
+    counts = p._stars
     base = counts[0]
     for k, c in enumerate(counts[1:], start=1):
         if c != base:
@@ -255,10 +255,9 @@ def _grid_violations(p: PdaArray) -> list[Violation]:
                 )
             )
 
-    grid = p.grid
-    classes = p.entries_by_color()
-    for color in sorted(classes):
-        cells = classes[color]
+    grid, K = p.grid, p.K
+    for color, flat in enumerate(p._classes, start=1):
+        cells = [divmod(c, K) for c in flat]
         for a, (j1, k1) in enumerate(cells):
             row1 = grid[j1]
             for j2, k2 in cells[a + 1 :]:
@@ -306,19 +305,23 @@ class EquivalenceResult(Enum):
 
 
 def _colored_cells(p: PdaArray) -> tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]]:
-    """Per row its (column, color) cells and per column its (row, color) cells, in index order."""
-    # Colors are >= 1, so a row is its own selector of colored cells.
-    rows = [list(compress(enumerate(row), row)) for row in p.grid]
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(p.K)]
+    """Per row its (column, color) cells, and per column its (row, color) cells in row order."""
+    K = p.K
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(p.F)]
+    for e, cells in enumerate(p._classes, start=1):
+        for c in cells:
+            j, k = divmod(c, K)
+            rows[j].append((k, e))
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(K)]
     for j, cells in enumerate(rows):
         for k, e in cells:
             cols[k].append((j, e))
     return rows, cols
 
 
-def _signature(cells: list[tuple[int, int]], length: int, class_sizes: Mapping[int, int]) -> tuple:
+def _signature(cells: list[tuple[int, int]], length: int, class_sizes: Sequence[int]) -> tuple:
     """Star count and sorted color-class sizes of one row or column, from its colored cells."""
-    return (length - len(cells), tuple(sorted([class_sizes[e] for _, e in cells])))
+    return (length - len(cells), tuple(sorted([class_sizes[e - 1] for _, e in cells])))
 
 
 def _candidates(sig1: list[tuple], sig2: list[tuple]) -> list[list[int]]:
@@ -340,8 +343,8 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
     stack is a list with one generator per matched row or column, so its
     depth (F + K) meets no recursion limit.
 
-    The set-up visits each side's colored cells a constant number of times
-    after one selection pass per row, so a mostly-star array costs little more
+    The set-up reads each side's colored-cell index and visits each colored
+    cell a constant number of times, so a mostly-star array costs little more
     than its colors.  Results and budget accounting, BUDGET_EXHAUSTED at a
     given budget included, match the recursive per-cell search it replaced,
     which test_equivalent_matches_the_reference_search keeps as the reference.
@@ -350,12 +353,12 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
     if (pr1.K, pr1.F, pr1.Z, pr1.S) != (pr2.K, pr2.F, pr2.Z, pr2.S):
         return EquivalenceResult.INEQUIVALENT
 
+    sizes1 = [len(cells) for cells in p1._classes]
+    sizes2 = [len(cells) for cells in p2._classes]
+    if sorted(sizes1) != sorted(sizes2):
+        return EquivalenceResult.INEQUIVALENT
     rows1, cols1 = _colored_cells(p1)
     rows2, cols2 = _colored_cells(p2)
-    sizes1 = Counter(e for cells in rows1 for _, e in cells)
-    sizes2 = Counter(e for cells in rows2 for _, e in cells)
-    if sorted(sizes1.values()) != sorted(sizes2.values()):
-        return EquivalenceResult.INEQUIVALENT
 
     rsig1 = [_signature(cells, p1.K, sizes1) for cells in rows1]
     rsig2 = [_signature(cells, p2.K, sizes2) for cells in rows2]

@@ -44,6 +44,16 @@ def _roundtrip_catalog() -> list[tuple[PdaArray, int]]:
     ]
 
 
+def _walked_classes(p: PdaArray) -> dict[int, list[tuple[int, int]]]:
+    """Map color -> 0-based (row, column) cells in row-major order, from a walk of every grid cell."""
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for j, row in enumerate(p.grid):
+        for k, e in enumerate(row):
+            if e is not None:
+                classes.setdefault(e, []).append((j, k))
+    return classes
+
+
 def _star_to_color(p: PdaArray, rng: random.Random) -> PdaArray:
     """p with one seeded star replaced by an existing color: usually breaks A, B or C."""
     stars = [(j, k) for j, row in enumerate(p.grid) for k, e in enumerate(row) if e is None]

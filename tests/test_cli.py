@@ -247,6 +247,45 @@ def test_combine_usage_errors(tmp_path, ex1_file):
     assert main(["combine", "--mode", "cycle", "--m", "4", ex1_file, "-o", str(out)]) == 1
 
 
+@pytest.mark.parametrize(
+    "operator, argv, cells",
+    [
+        ("cycle_product", ["--mode", "cycle", "--m", "6000", "trivial"], 6000**2 * 4),
+        ("star_product", ["--mode", "star", *["trivial"] * 12], 4**12),
+    ],
+    ids=["cycle-6000", "star-of-12"],
+)
+def test_combine_refuses_an_array_over_the_cell_cap_before_building_it(
+    tmp_path, monkeypatch, capsys, operator, argv, cells
+):
+    trivial = tmp_path / "trivial.pda"
+    trivial.write_text(write_pda(families.trivial_pda()))
+    monkeypatch.setattr(combinators, operator, _never_built)
+    out = tmp_path / "big.pda"
+    argv = [str(trivial) if arg == "trivial" else arg for arg in argv]
+    assert main(["combine", *argv, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    mode = argv[1]
+    assert captured.err == f"error: mode {mode!r} builds up to {cells} cells (F x K); the cap is {cli.BUILD_CAP_CELLS}\n"
+
+
+def test_combine_admits_an_array_of_2048_squared_cells(tmp_path, monkeypatch):
+    # The star product of eleven trivial arrays is 2048 x 2048.
+    trivial = tmp_path / "trivial.pda"
+    trivial.write_text(write_pda(families.trivial_pda()))
+    built = []
+
+    def trivial_instead(colorings):
+        built.append(len(colorings))
+        return graphs.pda_to_coloring(families.trivial_pda())
+
+    monkeypatch.setattr(combinators, "star_product", trivial_instead)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["combine", "--mode", "star", *[str(trivial)] * 11, "-o", str(tmp_path / "s.pda")]) == 0
+    assert built == [11] and 4**11 == cli.BUILD_CAP_CELLS
+
+
 def test_combine_rejects_invalid_input(tmp_path):
     broken = tmp_path / "broken.pda"
     broken.write_text(BROKEN_TEXT)
@@ -341,6 +380,14 @@ def test_simulate_usage_errors(ex1_file):
     assert main(["simulate", ex1_file, "--files", "0"]) == 2
     assert main(["simulate", ex1_file, "--files", "2", "--demand", "1,2", "--exhaustive"]) == 2
     assert main(["simulate", ex1_file, "--files", "2", "--demand", "1,2,oops,1"]) == 2
+
+
+@pytest.mark.parametrize("demand", ["\u0661,\u0662,1,2", "1_0,1,1,1", "+1,1,1,1", " 1,1,1,1", "1,1,1,1\n"])
+def test_simulate_takes_ascii_decimal_demands_only(ex1_file, demand, capsys):
+    assert main(["simulate", ex1_file, "--files", "2", "--demand", demand]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad --demand {demand!r}: expected comma-separated ASCII decimal integers\n"
 
 
 def test_simulate_refuses_a_library_over_the_cap_before_drawing_it(ex1_file, monkeypatch, capsys):
@@ -488,6 +535,42 @@ def test_equiv_validate_and_params_return_an_exit_code_for_any_file(fuzz_folder,
             argv += ["--budget", str(budget)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
+    assert code in (0, 1, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def combine_files(tmp_path_factory):
+    """Small valid arrays, an invalid and a malformed one, and a missing path, by name."""
+    folder = tmp_path_factory.mktemp("combine")
+    texts = {"ex1": EX1_TEXT, "strip": STRIP_TEXT, "trivial": "pda v1\nK=2 F=2 Z=1 S=1\n* 1\n1 *\n",
+             "du-4-1-2": VALID_TEXTS[3], "broken": BROKEN_TEXT, "malformed": "pda v1\nK=2 F=1 Z=0 S=1\n1 x\n"}
+    paths = {"missing": str(folder / "missing.pda"), "output": str(folder / "out.pda")}
+    for name, text in texts.items():
+        (folder / f"{name}.pda").write_text(text)
+        paths[name] = str(folder / f"{name}.pda")
+    return paths
+
+
+@given(
+    mode=st.sampled_from(["same-colors", "star", "tensor", "cycle"]),
+    # Cycle lengths past 2^11 are refused for every input here (each has at least
+    # 4 cells); the band just under that builds up to 2048 x 2048 and is left out
+    # to keep the run short.
+    m=st.none() | st.integers(-2, 12) | st.integers(2**11, 10**9),
+    names=st.lists(st.sampled_from(["ex1", "strip", "trivial", "du-4-1-2", "broken", "malformed", "missing"]),
+                   max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_combine_returns_an_exit_code_for_any_inputs(combine_files, mode, m, names):
+    argv = ["combine", "--mode", mode, *(combine_files[name] for name in names), "-o", combine_files["output"]]
+    if m is not None:
+        argv += ["--m", str(m)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage error: no input file
+            assert exc.code == 2 and not names
+            return
     assert code in (0, 1, 2, 3)
 
 

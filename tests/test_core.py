@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import _roundtrip_catalog, _star_to_color
+from conftest import _roundtrip_catalog, _star_to_color, _walked_classes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,7 +126,7 @@ def _reference_grid_violations(p: PdaArray) -> list[Violation]:
                 )
             )
 
-    classes = p.entries_by_color()
+    classes = _walked_classes(p)
     for color in sorted(classes):
         cells = classes[color]
         for a in range(len(cells)):
@@ -160,7 +160,11 @@ def _reference_grid_violations(p: PdaArray) -> list[Violation]:
 
 
 def _assert_grid_scan_matches_reference(p: PdaArray) -> bool:
-    """Assert equal reports (kind, witness, detail and order); return whether p is valid."""
+    """Assert an index equal to a walk of the grid and equal reports (kind, witness,
+    detail and order); return whether p is valid."""
+    walked = _walked_classes(p)
+    assert [[divmod(c, p.K) for c in cells] for cells in p._classes] == [walked[s] for s in sorted(walked)]
+    assert p._stars == tuple(sum(row[k] is None for row in p.grid) for k in range(p.K))
     got = core._grid_violations(p)
     assert got == _reference_grid_violations(p)
     return not got
@@ -230,6 +234,22 @@ def test_construction_rejects_malformed():
         PdaArray([[0]])
     with pytest.raises(PdaError):
         PdaArray([[1, 3]])  # color 2 missing
+
+
+@pytest.mark.parametrize(
+    "row, bad",
+    [
+        *(([None, 1, entry], entry) for entry in (False, True, 0, 0.0, "", (), -1, 1.5, "1")),
+        ([None, 0, -1], 0),
+        ([None, -1, 0], -1),
+    ],
+)
+def test_construction_names_the_first_bad_entry_of_a_row(row, bad):
+    # Falsy entries (False, 0, '') are not selected as colored cells; they must
+    # not pass as stars either.
+    with pytest.raises(PdaError) as info:
+        PdaArray([[1, None, None], row])
+    assert str(info.value) == f"bad entry {bad!r} in row 2: colors are integers >= 1"
 
 
 def test_equivalent_identity(example1):
@@ -339,8 +359,8 @@ def _reference_equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -
     if (pr1.K, pr1.F, pr1.Z, pr1.S) != (pr2.K, pr2.F, pr2.Z, pr2.S):
         return EquivalenceResult.INEQUIVALENT
 
-    sizes1 = {c: len(cells) for c, cells in p1.entries_by_color().items()}
-    sizes2 = {c: len(cells) for c, cells in p2.entries_by_color().items()}
+    sizes1 = {c: len(cells) for c, cells in _walked_classes(p1).items()}
+    sizes2 = {c: len(cells) for c, cells in _walked_classes(p2).items()}
     if sorted(sizes1.values()) != sorted(sizes2.values()):
         return EquivalenceResult.INEQUIVALENT
 
@@ -610,6 +630,8 @@ LONG = "9" * 5000  # past Python's default 4,300-digit int() limit
         pytest.param("pda v1\nK=2 F=1 Z=0 S=11\n1 1\u0661\n", 3, 3, id="foreign-grid-digit"),
         pytest.param(f"pda v1\nK=1 F=1 Z=0 S={LONG}\n1\n", 2, 15, id="long-header-integer"),
         pytest.param(f"pda v1\nK=1 F=1 Z=0 S=1\n{LONG}\n", 3, 1, id="long-grid-integer"),
+        # The least absent color is found among 1..S measured, not 1..10**12.
+        pytest.param(f"pda v1\nK=1 F=1 Z=0 S={10**12}\n{10**12}\n", 3, 1, id="huge-color-gap"),
     ],
 )
 def test_read_rejects_foreign_and_overlong_digits_at_their_position(text, line, column):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import _roundtrip_catalog, _star_to_color
+from conftest import _roundtrip_catalog, _star_to_color, _walked_classes
 
 from pdakit.combinators import cycle_product
 from pdakit.core import EquivalenceResult, PdaArray, equivalent, params, validate
@@ -289,7 +289,7 @@ def _ref_place(p: PdaArray, lib: FileLibrary) -> list[dict[tuple[int, int], byte
 
 def _ref_deliver(p: PdaArray, lib: FileLibrary, d: tuple[int, ...]) -> BroadcastLog:
     size = lib.file_len // p.F
-    classes = p.entries_by_color()
+    classes = _walked_classes(p)
     slots = []
     for s in sorted(classes):
         senders = tuple((j0 + 1, k0 + 1) for j0, k0 in classes[s])
