@@ -7,10 +7,11 @@ fixes row and column order of every derived array.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from .analytics import ParameterError, check_disjoint_union, check_intersection_t, check_restricted
-from .core import PdaArray
-from .graphs import ColoredBipartiteGraph, coloring_to_pda
+from .core import InvalidPdaError, PdaArray, validate
+from .graphs import ColoredBipartiteGraph
 
 SubsetLabel = tuple[int, ...]
 
@@ -18,6 +19,10 @@ SubsetLabel = tuple[int, ...]
 def subsets(n: int, k: int) -> tuple[SubsetLabel, ...]:
     """All k-subsets of {1..n} as sorted tuples, lexicographic."""
     return tuple(combinations(range(1, n + 1), k))
+
+
+def _mask(s: SubsetLabel) -> int:
+    return sum(map((1).__lshift__, s))  # element x at bit x
 
 
 def disjoint_union_coloring(n: int, a: int, b: int) -> ColoredBipartiteGraph:
@@ -66,20 +71,29 @@ def restricted_combined_family(n: int, a: int, b: int, t: int) -> PdaArray:
         K = C(n, a+t) * C(a+t, a)      F = C(n, b-t)
         Z = F - C(n-a-t, b-t)          S = C(n, a+b) * C(a+b, b)
 
-    Built directly from the rule the two steps reduce to (checked against them
-    by test_restricted_combined_equals_combine_then_restrict): row Y meets
-    column (A, A') iff Y and A are disjoint, colored (U, U minus A'), U = A u Y.
+    Built straight into its array, one colored cell at a time, from the rule the
+    two steps reduce to: row Y meets column (A, A') iff Y and A are disjoint,
+    colored (U, U minus A'), U = A u Y.  Colors are numbered as ``coloring_to_pda``
+    numbers them, and the array checks itself with ``validate`` (the grid oracle).
+    References: test_restricted_combined_equals_combine_then_restrict (the two
+    steps), test_restricted_direct_build_equals_the_triple_build (label triples).
     """
     check_restricted(n, a, b, t)
-    rows = subsets(n, b - t)
-    cols = tuple((A, A2) for A in subsets(n, a + t) for A2 in combinations(A, a))
-    triples = []
-    for A in subsets(n, a + t):
-        for Y in combinations([x for x in range(1, n + 1) if x not in A], b - t):
-            U = tuple(sorted(A + Y))
-            triples.extend((Y, (A, A2), (U, tuple(x for x in U if x not in A2)))
-                           for A2 in combinations(A, a))
-    return coloring_to_pda(ColoredBipartiteGraph(rows, cols, frozenset(triples)))
+    per_a, shift = comb(a + t, a), n + 1  # a color (U, U minus A') is keyed U << shift | A', as bitmasks
+    blocks = {A: (k * per_a, _mask(A) << shift, [_mask(A2) for A2 in combinations(A, a)])
+              for k, A in enumerate(subsets(n, a + t))}
+    grid, number = [], {}
+    for Y in subsets(n, b - t):
+        y, row = _mask(Y) << shift, [None] * (len(blocks) * per_a)
+        for A in combinations([x for x in range(1, n + 1) if x not in Y], a + t):  # in column order
+            at, u, nested = blocks[A]
+            row[at:at + per_a] = [number.setdefault(y | u | s, len(number) + 1) for s in nested]
+        grid.append(row)
+    name = {_mask(T): T for k in (b, a + b) for T in subsets(n, k)}
+    p = PdaArray(grid, legend={s: (name[key >> shift], name[key >> shift & ~key]) for key, s in number.items()})
+    if not (report := validate(p)).is_valid:
+        raise InvalidPdaError(f"restricted family {(n, a, b, t)} is not a valid PDA:\n{report}")
+    return p
 
 
 def trivial_pda() -> PdaArray:

@@ -222,7 +222,7 @@ def coloring_to_pda(g: ColoredBipartiteGraph) -> PdaArray:
 
     Structured color labels are densified to integers 1..S in
     first-appearance row-major order, with the original labels kept on the
-    result's ``legend``; colors that already are the integers 1..S pass
+    result's ``legend``; colors that already are the plain ints 1..S pass
     through unchanged, so converting an array's own coloring back is the
     identity.  Rejects non-constant column degrees and non-strong colorings,
     naming the witness; the degree witness is the first column and the first
@@ -234,9 +234,9 @@ def coloring_to_pda(g: ColoredBipartiteGraph) -> PdaArray:
             raise NonConstantDegreeError(*degrees[0], v, d)
     _require_strong(g)
 
-    # Palette colors are distinct, so S of them inside 1..S are exactly 1..S.
+    # Palette colors are distinct, so S plain ints (no bool or float) in 1..S are exactly 1..S.
     dense = range(1, len(g._palette) + 1)
-    already_dense = all(s in dense for s in g._palette)
+    already_dense = all(type(s) is int and s in dense for s in g._palette)
     grid: list[list[Entry]] = [[None] * len(g.right) for _ in g.left]
     for j, k, c in g._edges:
         grid[j][k] = g._palette[c] if already_dense else c + 1

@@ -75,6 +75,9 @@ class FileLibrary:
 
     def packet(self, i: int, j: int, packets_per_file: int) -> bytes:
         """Packet j (1-based) of file i (1-based), out of packets_per_file."""
+        if not (1 <= i <= self.n_files and 1 <= j <= packets_per_file) or self.file_len % packets_per_file:
+            raise SchemeError(f"cannot take packet {j} of {packets_per_file} from file {i}: "
+                              f"the library has {self.n_files} files of {self.file_len} bytes")
         size = self.file_len // packets_per_file
         return self.files[i - 1][(j - 1) * size : j * size]
 
@@ -229,7 +232,6 @@ def verify_roundtrip(p: PdaArray, lib: FileLibrary, demand: Sequence[int]) -> bo
     big-endian, so equal ints are equal bytes: no slot or byte string is built.
     """
     d = _check_demand(p, lib, demand)
-    _packet_size(p, lib)  # rejects files that do not split into F packets
     files = {i: lib.packet_ints(i, p.F) for i in set(d)}
     wanted = [files[i] for i in d]
     try:

@@ -355,6 +355,16 @@ def test_pipelines_scan_each_object_at_most_once(tmp_path, scans, argv):
     assert len({id(obj) for obj in scans}) == len(scans)
 
 
+def test_build_restricted_combined_scans_its_array_once(tmp_path, scans, capsys):
+    out = tmp_path / "rc.pda"
+    argv = ["build", "--family", "restricted-combined", "--n", "5", "--a", "2", "--b", "2", "--t", "1"]
+    assert main([*argv, "-o", str(out)]) == 0
+    # One grid scan, inside the family; params reuses its report and no strength scan runs.
+    assert len(scans) == 1 and isinstance(scans[0], core.PdaArray)
+    assert capsys.readouterr().out == f"wrote {out}: K=30 F=5 Z=3 S=30 g=2 M/N=3/5 R=6\n"
+    assert read_pda(out.read_text()) == scans[0]
+
+
 def test_simulate_exhaustive_streams_its_demands(ex1_file, monkeypatch):
     real_demands, real_roundtrip = scheme.exhaustive_demands, scheme.verify_roundtrip
     yielded, seen_at_first_run = [], []

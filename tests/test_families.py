@@ -5,9 +5,10 @@ from math import comb
 
 import pytest
 
+from pdakit import families
 from pdakit.analytics import ParameterError
 from pdakit.combinators import combine_same_colors
-from pdakit.core import EquivalenceResult, equivalent, params, validate
+from pdakit.core import EquivalenceResult, InvalidPdaError, ValidationReport, Violation, equivalent, params, validate
 from pdakit.families import (
     disjoint_union_coloring,
     intersection_t_coloring,
@@ -16,7 +17,7 @@ from pdakit.families import (
     subsets,
     trivial_pda,
 )
-from pdakit.graphs import ColoredBipartiteGraph, coloring_to_pda, is_strong_coloring
+from pdakit.graphs import ColoredBipartiteGraph, coloring_to_pda, is_strong_coloring, pda_to_coloring
 
 
 def test_subsets_are_lexicographic():
@@ -213,6 +214,56 @@ def test_restricted_combined_equals_combine_then_restrict():
         reference = _combine_then_restrict(n, a, b, t)
         assert direct.grid == reference.grid, (n, a, b, t)
         assert direct.legend == reference.legend, (n, a, b, t)
+
+
+def _restricted_by_triples(n, a, b, t):
+    """The label-triple build: every edge (Y, (A, A'), (U, U minus A')) as a
+    nested-tuple triple, checked and indexed by the graph, then densified by
+    coloring_to_pda."""
+    rows = subsets(n, b - t)
+    cols = tuple((A, A2) for A in subsets(n, a + t) for A2 in combinations(A, a))
+    triples = []
+    for A in subsets(n, a + t):
+        for Y in combinations([x for x in range(1, n + 1) if x not in A], b - t):
+            U = tuple(sorted(A + Y))
+            triples.extend((Y, (A, A2), (U, tuple(x for x in U if x not in A2)))
+                           for A2 in combinations(A, a))
+    return coloring_to_pda(ColoredBipartiteGraph(rows, cols, frozenset(triples)))
+
+
+@pytest.mark.slow
+def test_restricted_direct_build_equals_the_triple_build():
+    cases = [
+        (n, a, b, t)
+        for n in range(2, 10)
+        for a in range(1, n)
+        for b in range(1, n - a + 1)
+        for t in range(b)
+    ]
+    assert len(cases) == 330
+    for n, a, b, t in cases:
+        direct = restricted_combined_family(n, a, b, t)
+        reference = _restricted_by_triples(n, a, b, t)
+        assert direct.grid == reference.grid, (n, a, b, t)
+        assert direct.legend == reference.legend, (n, a, b, t)
+        assert list(direct.legend) == list(reference.legend), (n, a, b, t)
+        # The family runs only the grid oracle, so the graph oracle is asked here.
+        assert is_strong_coloring(pda_to_coloring(direct)).is_valid, (n, a, b, t)
+
+
+def test_restricted_family_scans_its_array_once_with_the_grid_oracle(scans):
+    p = restricted_combined_family(5, 2, 2, 1)
+    assert [id(obj) for obj in scans] == [id(p)]
+    assert params(p).S == comb(5, 4) * comb(4, 2)
+    assert validate(p).is_valid
+    assert [id(obj) for obj in scans] == [id(p)]
+
+
+def test_restricted_family_raises_the_grid_report_when_its_check_fails(monkeypatch):
+    broken = ValidationReport((Violation("C", ((1, 1), (2, 2)), "color 1: non-star corner at (1,2)"),))
+    monkeypatch.setattr(families, "validate", lambda p: broken)
+    with pytest.raises(InvalidPdaError, match=r"not a valid PDA:\ncondition C at \(1, 1\), \(2, 2\)"):
+        restricted_combined_family(4, 1, 2, 1)
 
 
 def test_restricted_combined_rejects_bad_ranges():

@@ -138,6 +138,34 @@ def test_structured_colors_densify_with_legend():
     assert p.legend[1] == ("p",)
 
 
+@pytest.mark.parametrize(
+    "colors, grid, legend",
+    [
+        ((True,), ((1,),), {1: True}),
+        ((1.0,), ((1,),), {1: 1.0}),
+        ((1, 2.0), ((1, None), (None, 2)), {1: 1, 2: 2.0}),
+        ((2.0, 1), ((1, None), (None, 2)), {1: 2.0, 2: 1}),
+    ],
+    ids=["true", "float-one", "int-then-float", "float-then-int"],
+)
+def test_labels_equal_to_ints_but_not_plain_ints_are_densified(colors, grid, legend):
+    # True == 1 and 1.0 == 1, yet neither is a grid entry, so neither passes through.
+    left = tuple(range(1, len(colors) + 1))
+    right = tuple(f"{k}'" for k in left)
+    g = ColoredBipartiteGraph(left, right, frozenset((j, right[j - 1], s) for j, s in zip(left, colors)))
+    p = coloring_to_pda(g)
+    assert p.grid == grid
+    assert p.legend == legend and list(p.legend.items()) == list(legend.items())
+    assert all(type(v) is type(s) for v, s in zip(p.legend.values(), legend.values()))
+
+
+def test_plain_int_colors_1_to_s_still_pass_through():
+    g = ColoredBipartiteGraph((1, 2), ("x", "y"), frozenset({(1, "x", 2), (2, "y", 1)}))
+    p = coloring_to_pda(g)
+    assert p.grid == ((2, None), (None, 1))
+    assert p.legend is None
+
+
 def test_cross_oracle_agreement_targeted(example1):
     assert validate(example1).is_valid == is_strong_coloring(pda_to_coloring(example1)).is_valid
     bad = PdaArray([[1, 2], [2, 1]])

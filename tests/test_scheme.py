@@ -257,6 +257,35 @@ def test_library_construction_errors():
         FileLibrary(files=(b"",))
 
 
+@pytest.mark.parametrize(
+    "i, j, count",
+    [(0, 1, 4), (3, 1, 4), (1, 0, 4), (1, 5, 4), (1, 9, 4), (1, 1, 3), (1, 1, 0)],
+    ids=["file-0", "file-past-n", "packet-0", "packet-past-f", "packet-far", "count-3", "count-0"],
+)
+def test_packet_rejects_a_file_packet_or_count_out_of_range(i, j, count):
+    lib = FileLibrary((b"abcd", b"wxyz"))
+    message = rf"^cannot take packet {j} of {count} from file {i}: the library has 2 files of 4 bytes$"
+    with pytest.raises(SchemeError, match=message):
+        lib.packet(i, j, count)
+    assert lib.packet(2, 1, 4) == b"w" and lib.packet(1, 4, 4) == b"d" and lib.packet(2, 2, 2) == b"yz"
+
+
+@pytest.mark.parametrize("i, count", [(0, 4), (3, 4), (1, 3)], ids=["file-0", "file-past-n", "count-3"])
+def test_packet_ints_caches_nothing_for_a_bad_file_or_count(i, count):
+    lib = FileLibrary((b"abcd", b"wxyz"))
+    with pytest.raises(SchemeError):
+        lib.packet_ints(i, count)
+    assert lib._packet_ints == {}
+    assert lib.packet_ints(2, 4) == tuple(b"wxyz")
+
+
+def test_verify_roundtrip_rejects_files_that_do_not_split_into_f_packets(example1):
+    lib = FileLibrary(files=(b"\x00" * 5, b"\x01" * 5))
+    message = "^cannot take packet 1 of 4 from file 1: the library has 2 files of 5 bytes$"
+    with pytest.raises(SchemeError, match=message):
+        verify_roundtrip(example1, lib, (1, 2, 1, 2))
+
+
 def test_random_library_and_demands_are_deterministic():
     a = FileLibrary.random(2, 8, seed=42)
     b = FileLibrary.random(2, 8, seed=42)
