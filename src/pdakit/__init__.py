@@ -24,7 +24,6 @@ from .analytics import (
 from .combinators import (
     CombineError,
     combine_same_colors,
-    combine_same_colors_fold,
     cycle_product,
     same_colors_claimed_params,
     star_product,

@@ -183,25 +183,19 @@ def _cmd_simulate(args) -> int:
 def _combined_cells(args, arrays: list[PdaArray]) -> int:
     """After the mode's usage checks, F x K of the combination from its inputs' shapes.
 
-    Exact except for same-colors, which gets a bound.  An unsupported cycle
-    length counts as no cells, so the operator reports it.
+    Exact except for same-colors, which gets a bound: its rows are the first
+    input's columns, and its columns some pairs of the two inputs' rows.  An
+    unsupported cycle length counts as no cells, so the operator reports it.
     """
-    if args.mode in ("same-colors", "star"):
-        if len(arrays) < 2:
-            raise UsageError(f"{args.mode} needs at least two input files")
-        if args.mode == "star":
-            return math.prod(p.F for p in arrays) * math.prod(p.K for p in arrays)
-        # Each step's rows are the columns so far, and its columns some pairs of
-        # the rows so far with the next factor's rows.
-        F, K = arrays[0].F, arrays[0].K
-        for p in arrays[1:]:
-            F, K = K, F * p.F
-        return F * K
-    if args.mode == "tensor":
+    if args.mode in ("same-colors", "star") and len(arrays) < 2:
+        raise UsageError(f"{args.mode} needs at least two input files")
+    if args.mode == "star":
+        return math.prod(p.F for p in arrays) * math.prod(p.K for p in arrays)
+    if args.mode in ("same-colors", "tensor"):
         if len(arrays) != 2:
-            raise UsageError("tensor takes exactly two input files")
+            raise UsageError(f"{args.mode} takes exactly two input files")
         p1, p2 = arrays
-        return p1.F * p1.K * (p2.F + p2.K) ** 2
+        return p1.K * p1.F * p2.F if args.mode == "same-colors" else p1.F * p1.K * (p2.F + p2.K) ** 2
     if len(arrays) != 1:
         raise UsageError("cycle takes exactly one input file")
     if args.m is None:
@@ -212,7 +206,7 @@ def _combined_cells(args, arrays: list[PdaArray]) -> int:
 def _combine_graphs(args, arrays: list[PdaArray]) -> graphs.ColoredBipartiteGraph:
     colorings = [graphs.pda_to_coloring(p) for p in arrays]
     if args.mode == "same-colors":
-        return combinators.combine_same_colors_fold(colorings)
+        return combinators.combine_same_colors(*colorings)
     if args.mode == "star":
         return combinators.star_product(colorings)
     if args.mode == "tensor":
@@ -235,7 +229,7 @@ def _cmd_combine(args) -> int:
     combined = _combine_graphs(args, arrays)
     p = graphs.coloring_to_pda(combined)
     measured = params(p)
-    if args.mode == "same-colors" and len(arrays) == 2:
+    if args.mode == "same-colors":
         claim = combinators.same_colors_claimed_params(arrays[0], arrays[1])
         flags = "agrees" if claim == (measured.K, measured.F, measured.Z, measured.S) else "DIVERGES from measured"
         print(f"published parameter claim (K,F,Z,S)={claim} {flags}")

@@ -3,7 +3,9 @@
 Every operator checks its inputs with the brute-force strength oracle, builds
 the composite triple system, and returns a colored graph whose colors are
 structured tuples recording exactly which input colors and vertices
-contributed.  Converting to an array (graphs.coloring_to_pda) densifies those
+contributed.  All factors are bipartite, as every array's coloring is; the
+tensor product takes them as general graphs and checks each on its split
+into two sides.  Converting to an array (graphs.coloring_to_pda) densifies those
 tuples to integers and keeps the mapping on the array's legend.
 
 Outputs are not guaranteed to have constant column degree; conversion to an
@@ -23,6 +25,7 @@ from .graphs import (
     ColoredGraph,
     Label,
     _require_strong,
+    split_bipartite,
     two_coloring,
 )
 
@@ -63,21 +66,6 @@ def combine_same_colors(
     idx2 = {u: i for i, u in enumerate(g2.left)}
     right = tuple(sorted(pairs, key=lambda p: (idx1[p[0]], idx2[p[1]])))
     return ColoredBipartiteGraph(g1.right, right, frozenset(triples))
-
-
-def combine_same_colors_fold(gs: Sequence[ColoredBipartiteGraph]) -> ColoredBipartiteGraph:
-    """Left-fold of the same-colors combination over three or more graphs.
-
-    Each step requires the accumulated color set to equal the next factor's,
-    so later factors must be colored with the pair colors produced upstream.
-    No closed-form parameters are claimed for the folded result.
-    """
-    if len(gs) < 2:
-        raise CombineError("need at least two graphs to combine")
-    acc = gs[0]
-    for g in gs[1:]:
-        acc = combine_same_colors(acc, g)
-    return acc
 
 
 def same_colors_claimed_params(p1: PdaArray, p2: PdaArray) -> tuple[int, int, int, int]:
@@ -124,11 +112,18 @@ def star_product(gs: Sequence[ColoredBipartiteGraph]) -> ColoredBipartiteGraph:
 
 
 def tensor_product(c1: ColoredGraph, c2: ColoredGraph) -> ColoredGraph:
-    """Tensor product with tuple colors; needs at least one bipartite factor."""
-    _require_strong(c1)
-    _require_strong(c2)
-    if two_coloring(c1) is None and two_coloring(c2) is None:
-        raise CombineError("tensor product requires at least one bipartite factor")
+    """Tensor product of two bipartite factors, with tuple colors.
+
+    Each pair of edges {x1, y1} and {x2, y2} gives the edges {(x1, x2), (y1, y2)}
+    and {(x1, y2), (y1, x2)}, both colored (s1, s2).  Each factor is split into
+    its two sides (``two_coloring``) and checked there by the bipartite strength
+    oracle; a factor with an odd cycle is rejected.
+    """
+    for c in (c1, c2):
+        side = two_coloring(c)
+        if side is None:
+            raise CombineError("tensor product requires bipartite factors: a factor has an odd cycle")
+        _require_strong(split_bipartite(c, [v for v in c.vertices if side[v] == 0]))
     vertices = tuple((u, v) for u in c1.vertices for v in c2.vertices)
     edges: set[tuple[frozenset, tuple]] = set()
     for e1, s1 in c1.colored_edges:

@@ -209,11 +209,12 @@ class PdaArray:
         being that color's (column, row) cells outside column k in slot order; then
         the first such cell whose row is not a star of column k, as 1-based (user,
         slot, its column, its row), or None when each user caches what it strips.
+        Each cell's pair is built once per color and shared by every user's others.
         """
         K = self.K
-        classes = [[divmod(c, K) for c in cells] for cells in self._classes]
+        senders = [tuple((c % K, c // K) for c in cells) for cells in self._classes]
         users = tuple(
-            tuple((j, e - 1, tuple((k2, j2) for j2, k2 in classes[e - 1] if k2 != k)) for j, e in column)
+            tuple((j, e - 1, tuple(cell for cell in senders[e - 1] if cell[0] != k)) for j, e in column)
             for k, column in enumerate(_colored_cells(self)[1])
         )
         gap = next(((k + 1, e + 1, k2 + 1, j2 + 1) for k, steps in enumerate(users) for _, e, others in steps

@@ -6,11 +6,12 @@ F x K array is a valid PDA exactly when its colored bipartite graph is
 strongly colored and the column-side vertices all have the same degree, which
 makes the checker here a second, independent oracle for the grid validator.
 
-Labels become positions once, at construction, and every scan here reads the
-index kept by that pass: edges in the declared order of the vertices, row-major
-over a bipartite graph's sides or by endpoint position in a general graph's
-``vertices``.  Strength witnesses, the degree witness and the array built from a
-coloring all follow that order, so none depends on set iteration or hashing.
+The checker scans bipartite graphs only, as every array's coloring is one; a
+general ``ColoredGraph`` is checked on its split into two sides.  Labels
+become positions once, at construction, and every scan reads the index kept
+by that pass: edges row-major in the declared order of the two sides.
+Strength witnesses, the degree witness and the array built from a coloring
+all follow that order, so none depends on set iteration or hashing.
 """
 
 from __future__ import annotations
@@ -45,20 +46,10 @@ class NotStrongError(GraphError):
         self.report = report
 
 
-def _require_strong(g: ColoredBipartiteGraph | ColoredGraph) -> None:
+def _require_strong(g: ColoredBipartiteGraph) -> None:
     report = is_strong_coloring(g)
     if not report.is_valid:
         raise NotStrongError(report)
-
-
-def _index(g: ColoredBipartiteGraph | ColoredGraph, colored: dict[int, Label], width: int) -> None:
-    """Store ``colored``, {first position * width + second: color}, on ``g`` as the sorted
-    (position, position, color index) ``_edges`` and the ``_palette`` of colors in order
-    of first appearance.  Keys are unique, so sorting never compares colors."""
-    palette: dict[Label, int] = {}
-    edges = [(key // width, key % width, palette.setdefault(s, len(palette))) for key, s in sorted(colored.items())]
-    object.__setattr__(g, "_edges", edges)
-    object.__setattr__(g, "_palette", tuple(palette))
 
 
 @dataclass(frozen=True)
@@ -68,8 +59,10 @@ class ColoredBipartiteGraph:
     ``triples`` holds (row-vertex, column-vertex, color).  At most one triple
     per vertex pair; every color is declared by appearing in a triple.  The
     side lists fix the row/column order of the PDA.  Labels become positions
-    once, in the pass that checks them at construction (see ``_index``), and
-    every scan reads that index, in row-major order, never the labels.
+    once, in the pass that checks them at construction, and every scan reads
+    that index, never the labels: ``_edges``, the (row, column, color index)
+    triples in row-major order, and ``_palette``, the colors in order of first
+    appearance.
     """
 
     left: tuple[Label, ...]
@@ -85,15 +78,20 @@ class ColoredBipartiteGraph:
         col = {r: k for k, r in enumerate(self.right)}
         if len(row) != len(self.left) or len(col) != len(self.right):
             raise GraphError("duplicate vertex label within a side")
+        width = len(col)
         colored: dict[int, Label] = {}
         for l, r, s in self.triples:
             if l not in row or r not in col:
                 raise GraphError(f"triple endpoint ({l!r}, {r!r}) not among declared vertices")
-            key = row[l] * len(col) + col[r]
+            key = row[l] * width + col[r]
             if key in colored:
                 raise GraphError(f"pair ({l!r}, {r!r}) carries more than one color")
             colored[key] = s
-        _index(self, colored, len(col))
+        # Keys are unique, so sorting never compares colors.
+        palette: dict[Label, int] = {}
+        edges = [(key // width, key % width, palette.setdefault(s, len(palette))) for key, s in sorted(colored.items())]
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_palette", tuple(palette))
 
     @property
     def colors(self) -> frozenset[Label]:
@@ -108,34 +106,24 @@ class ColoredBipartiteGraph:
 
 @dataclass(frozen=True)
 class ColoredGraph:
-    """General edge-colored graph: ({u, v}, color) pairs over declared vertices."""
+    """General edge-colored graph: ({u, v}, color) pairs over declared vertices, checked for structure only."""
 
     vertices: tuple[Label, ...]
     colored_edges: frozenset[tuple[frozenset[Label], Label]]
-    _edges: list[tuple[int, int, int]] = field(init=False, repr=False, compare=False)
-    _palette: tuple[Label, ...] = field(init=False, repr=False, compare=False)
-    _strength: Optional[ValidationReport] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        n = len(self.vertices)
-        if len(pos) != n:
+        declared = set(self.vertices)
+        if len(declared) != len(self.vertices):
             raise GraphError("duplicate vertex label")
-        colored: dict[int, Label] = {}
-        for e, s in self.colored_edges:
+        seen: set[frozenset[Label]] = set()
+        for e, _ in self.colored_edges:
             if len(e) != 2:
                 raise GraphError(f"edge {set(e)!r} is not a 2-set (self-loops are not allowed)")
-            if not e <= pos.keys():
+            if not e <= declared:
                 raise GraphError(f"edge {set(e)!r} uses undeclared vertices")
-            i, j = sorted(pos[v] for v in e)
-            if i * n + j in colored:
+            if e in seen:
                 raise GraphError(f"edge {set(e)!r} carries more than one color")
-            colored[i * n + j] = s
-        _index(self, colored, n)
-
-    @property
-    def colors(self) -> frozenset[Label]:
-        return frozenset(self._palette)
+            seen.add(e)
 
 
 def _strong_violations_bipartite(g: ColoredBipartiteGraph) -> list[Violation]:
@@ -163,44 +151,19 @@ def _strong_violations_bipartite(g: ColoredBipartiteGraph) -> list[Violation]:
     return violations
 
 
-def _strong_violations_general(g: ColoredGraph) -> list[Violation]:
-    by_color: list[list[tuple[int, int]]] = [[] for _ in g._palette]
-    for i, j, c in g._edges:
-        by_color[c].append((i, j))
-    n, name = len(g.vertices), g.vertices
-    edge_set = {i * n + j for i, j, _ in g._edges}
-    violations: list[Violation] = []
-    for s, edges in zip(g._palette, by_color):
-        for a, e1 in enumerate(edges):
-            for e2 in edges[a + 1:]:
-                shared = [x for x in e1 if x in e2]
-                if shared:
-                    kind = "shared-vertex"
-                    detail = f"same-colored edges meet at {name[shared[0]]!r}"
-                elif link := next(((x, y) for x in e1 for y in e2 if min(x, y) * n + max(x, y) in edge_set), None):
-                    kind = "linked-edges"
-                    detail = f"edge {tuple(name[v] for v in sorted(link))!r} joins two edges of color {s!r}"
-                else:
-                    continue
-                witness = (((name[e1[0]], name[e1[1]]), s), ((name[e2[0]], name[e2[1]]), s))
-                violations.append(Violation(kind, witness, detail))
-    return violations
-
-
-def is_strong_coloring(g: ColoredBipartiteGraph | ColoredGraph) -> ValidationReport:
+def is_strong_coloring(g: ColoredBipartiteGraph) -> ValidationReport:
     """Brute-force strength check over all pairs of same-colored edges.
 
     Two edges of one color violate strength when they share a vertex or when
     some edge of the graph connects an endpoint of one to an endpoint of the
-    other.  Witnesses come out in declared order: colors by their first edge,
-    and within a color the pairs of edges in edge order, where edges are
-    ordered row-major over a bipartite graph's sides and by endpoint position
-    in a general graph's ``vertices``.  The scan runs once per graph: the
-    report is kept on ``g`` and returned again by later calls.
+    other; in a bipartite graph that edge runs from one's row to the other's
+    column.  Witnesses come out in declared order: colors by their first edge,
+    and within a color the pairs of edges row-major over the two sides.  The
+    scan runs once per graph: the report is kept on ``g`` and returned again
+    by later calls.
     """
     if g._strength is None:
-        scan = _strong_violations_bipartite if isinstance(g, ColoredBipartiteGraph) else _strong_violations_general
-        object.__setattr__(g, "_strength", ValidationReport(tuple(scan(g))))
+        object.__setattr__(g, "_strength", ValidationReport(tuple(_strong_violations_bipartite(g))))
     return g._strength
 
 

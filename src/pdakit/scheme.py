@@ -117,6 +117,8 @@ class CacheState:
     packet_bytes: int
 
     def user_bytes(self, k: int) -> int:
+        if not 1 <= k <= len(self.rows):
+            raise SchemeError(f"no user {k}: the caches hold users 1..{len(self.rows)}")
         return len(self.rows[k - 1]) * self.library.n_files * self.packet_bytes
 
 
@@ -205,12 +207,16 @@ def decode(
     For a colored cell (j, k) with color s, user k strips the other
     contributors' packets out of slot s; those packets are cached whenever the
     array satisfies condition C, otherwise DecodingError identifies the gap.
-    The senders come from the array, so of the log only its payloads are read.
+    The senders come from the array, so of the log only its payloads are read,
+    and each must be one packet long.
     """
     lib, size = caches.library, caches.packet_bytes
     d = _check_demand(p, lib, demand)
     if len(log.slots) != p.S:
         raise SchemeError(f"broadcast log has {len(log.slots)} slots, the array has S={p.S}")
+    for s, slot in enumerate(log.slots, start=1):
+        if len(slot.payload) != size:
+            raise SchemeError(f"slot {s} carries {len(slot.payload)} bytes, a packet here has {size}")
     wanted = [lib.packet_ints(i, p.F) for i in d]
     decoded = _decoded(p, [int.from_bytes(slot.payload, "big") for slot in log.slots], wanted, d)
     out = []

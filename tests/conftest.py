@@ -83,7 +83,6 @@ def scans(monkeypatch):
     for module, name in (
         (core, "_grid_violations"),
         (graphs, "_strong_violations_bipartite"),
-        (graphs, "_strong_violations_general"),
     ):
         real = getattr(module, name)
 

@@ -247,6 +247,15 @@ def test_combine_usage_errors(tmp_path, ex1_file):
     assert main(["combine", "--mode", "cycle", "--m", "4", ex1_file, "-o", str(out)]) == 1
 
 
+def test_same_colors_takes_exactly_two_files(tmp_path, ex1_file, capsys):
+    out = tmp_path / "o.pda"
+    assert main(["combine", "--mode", "same-colors", ex1_file, ex1_file, ex1_file, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: same-colors takes exactly two input files\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "operator, argv, cells",
     [

@@ -5,7 +5,6 @@ import pytest
 from pdakit.combinators import (
     CombineError,
     combine_same_colors,
-    combine_same_colors_fold,
     cycle_product,
     same_colors_claimed_params,
     star_product,
@@ -21,6 +20,7 @@ from pdakit.graphs import (
     coloring_to_pda,
     is_strong_coloring,
     pda_to_coloring,
+    split_bipartite,
 )
 
 
@@ -90,16 +90,6 @@ def test_combine_rejects_nonstrong_input():
         combine_same_colors(bad, bad)
 
 
-def test_combine_fold_three_graphs(strip):
-    g = pda_to_coloring(strip)
-    acc = combine_same_colors(g, g)
-    folded = combine_same_colors_fold([g, g, acc])
-    assert folded.left == acc.right
-    assert is_strong_coloring(folded).is_valid
-    with pytest.raises(CombineError):
-        combine_same_colors_fold([g])
-
-
 def test_star_product_trivial_squared_by_expansion():
     g = pda_to_coloring(trivial_pda())
     product = star_product([g, g])
@@ -153,11 +143,15 @@ def _single_edge(u, v, color) -> ColoredGraph:
     return ColoredGraph((u, v), frozenset({(frozenset({u, v}), color)}))
 
 
+def _strong_on_split(product: ColoredGraph, left) -> bool:
+    return is_strong_coloring(split_bipartite(product, left)).is_valid
+
+
 def test_tensor_of_single_edges():
     product = tensor_product(_single_edge("a", "b", 1), _single_edge("c", "d", 9))
     assert len(product.colored_edges) == 2
-    assert product.colors == {(1, 9)}
-    assert is_strong_coloring(product).is_valid
+    assert {s for _, s in product.colored_edges} == {(1, 9)}
+    assert _strong_on_split(product, [("a", "c"), ("a", "d")])
     supports = {e for e, _ in product.colored_edges}
     assert frozenset({("a", "c"), ("b", "d")}) in supports
     assert frozenset({("a", "d"), ("b", "c")}) in supports
@@ -166,7 +160,7 @@ def test_tensor_of_single_edges():
 def test_tensor_trivial_with_edge_is_strong():
     g = as_general_graph(pda_to_coloring(trivial_pda()))
     product = tensor_product(g, _single_edge("u", "v", 7))
-    assert is_strong_coloring(product).is_valid
+    assert _strong_on_split(product, [v for v in product.vertices if v[0][0] == "row"])
     assert len(product.colored_edges) == 4
 
 
@@ -174,6 +168,24 @@ def test_tensor_rejects_two_odd_cycles():
     c3 = ColoredGraph((1, 2, 3), frozenset((frozenset({x, x % 3 + 1}), x) for x in (1, 2, 3)))
     with pytest.raises(CombineError):
         tensor_product(c3, c3)
+
+
+def test_tensor_rejects_one_odd_cycle():
+    # Every array's coloring is bipartite, so a factor with an odd cycle has no PDA behind it.
+    c3 = ColoredGraph((1, 2, 3), frozenset((frozenset({x, x % 3 + 1}), x) for x in (1, 2, 3)))
+    with pytest.raises(CombineError, match="requires bipartite factors"):
+        tensor_product(c3, _single_edge("u", "v", 7))
+    with pytest.raises(CombineError, match="requires bipartite factors"):
+        tensor_product(_single_edge("u", "v", 7), c3)
+
+
+def test_tensor_checks_each_factor_with_the_bipartite_scan(scans):
+    g = as_general_graph(pda_to_coloring(trivial_pda()))
+    tensor_product(g, _single_edge("u", "v", 7))
+    assert [type(obj) for obj in scans] == [ColoredBipartiteGraph] * 2
+    bad = ColoredGraph(("a", "b", "c"), frozenset({(frozenset("ab"), 1), (frozenset("bc"), 1)}))
+    with pytest.raises(NotStrongError):
+        tensor_product(g, bad)
 
 
 def test_cycle_product_m3_on_trivial_matches_published_params():

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import _roundtrip_catalog, _star_to_color
 
 import pdakit
 from pdakit.combinators import cycle_product
-from pdakit.core import PdaArray, validate, write_pda
+from pdakit.core import PdaArray, ValidationReport, Violation, validate, write_pda
 from pdakit.families import disjoint_union_coloring, star_graph_coloring, trivial_pda
 from pdakit.graphs import (
     ColoredBipartiteGraph,
@@ -41,9 +42,11 @@ def test_strong_coloring_accepts_the_strip_coloring():
 
 
 def test_adjacent_same_color_edges_are_rejected():
-    g = ColoredGraph(
-        vertices=("a", "b", "c"),
-        colored_edges=frozenset({(frozenset({"a", "b"}), 1), (frozenset({"b", "c"}), 1)}),
+    # path a-b, b-c, both colored 1
+    g = ColoredBipartiteGraph(
+        left=("b",),
+        right=("a", "c"),
+        triples=frozenset({("b", "a", 1), ("b", "c", 1)}),
     )
     report = is_strong_coloring(g)
     assert not report.is_valid
@@ -52,15 +55,10 @@ def test_adjacent_same_color_edges_are_rejected():
 
 def test_distance_one_same_color_edges_are_rejected():
     # path a-b, b-c, c-d colored 1, 2, 1: the ends are joined by b-c
-    g = ColoredGraph(
-        vertices=("a", "b", "c", "d"),
-        colored_edges=frozenset(
-            {
-                (frozenset({"a", "b"}), 1),
-                (frozenset({"b", "c"}), 2),
-                (frozenset({"c", "d"}), 1),
-            }
-        ),
+    g = ColoredBipartiteGraph(
+        left=("a", "c"),
+        right=("b", "d"),
+        triples=frozenset({("a", "b", 1), ("c", "b", 2), ("c", "d", 1)}),
     )
     report = is_strong_coloring(g)
     assert not report.is_valid
@@ -182,9 +180,12 @@ def test_each_graph_keeps_its_strength_report(example1):
         lambda: as_general_graph(pda_to_coloring(swap)),
     ):
         g, fresh = build(), build()
-        assert is_strong_coloring(g) is is_strong_coloring(g)
+        bipartite = isinstance(g, ColoredBipartiteGraph)
+        if bipartite:
+            assert is_strong_coloring(g) is is_strong_coloring(g)
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
-        assert str(is_strong_coloring(fresh)) == str(is_strong_coloring(g))
+        if bipartite:
+            assert str(is_strong_coloring(fresh)) == str(is_strong_coloring(g))
     # Each object keeps only its own oracle's verdict: converting a checked
     # graph leaves the array unvalidated, and viewing a validated array as a
     # graph leaves the graph unchecked.
@@ -228,6 +229,52 @@ def test_cross_oracle_agreement_random(seed):
     assert bc_clean == strong
     assert a_clean == _constant_right_degree(p)
     assert report.is_valid == (strong and _constant_right_degree(p))
+
+
+def general_strength(g: ColoredGraph) -> ValidationReport:
+    """The strength scan on a general graph, the reference for the cycle construction below.
+
+    Two edges of one color violate strength when they share a vertex or some
+    edge joins an endpoint of one to an endpoint of the other.  Edges are taken
+    in the order of their endpoints' positions in ``g.vertices``, colors by
+    their first edge, so the witnesses do not depend on hashing.
+    """
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    n, name = len(g.vertices), g.vertices
+    edges = sorted((tuple(sorted(pos[v] for v in e)), s) for e, s in g.colored_edges)
+    by_color: dict[Label, list[tuple[int, int]]] = {}
+    for e, s in edges:
+        by_color.setdefault(s, []).append(e)
+    edge_set = {i * n + j for (i, j), _ in edges}
+    violations = []
+    for s, same in by_color.items():
+        for a, e1 in enumerate(same):
+            for e2 in same[a + 1:]:
+                shared = [x for x in e1 if x in e2]
+                if shared:
+                    kind = "shared-vertex"
+                    detail = f"same-colored edges meet at {name[shared[0]]!r}"
+                elif link := next(((x, y) for x in e1 for y in e2 if min(x, y) * n + max(x, y) in edge_set), None):
+                    kind = "linked-edges"
+                    detail = f"edge {tuple(name[v] for v in sorted(link))!r} joins two edges of color {s!r}"
+                else:
+                    continue
+                witness = (((name[e1[0]], name[e1[1]]), s), ((name[e2[0]], name[e2[1]]), s))
+                violations.append(Violation(kind, witness, detail))
+    return ValidationReport(tuple(violations))
+
+
+def test_general_scan_agrees_with_the_bipartite_scan_on_the_split():
+    rng = random.Random(15)
+    arrays = [p for p, _ in _roundtrip_catalog()]
+    arrays += [_star_to_color(p, rng) for p in arrays if p.star_count(0) for _ in range(4)]
+    verdicts = []
+    for p in arrays:
+        general = as_general_graph(pda_to_coloring(p))
+        split = split_bipartite(general, [v for v in general.vertices if v[0] == "row"])
+        verdicts.append(general_strength(general).is_valid)
+        assert verdicts[-1] == is_strong_coloring(split).is_valid
+    assert True in verdicts and False in verdicts
 
 
 # The paper's cycle construction, kept here as the reference that
@@ -353,14 +400,14 @@ def test_cycle_strong_coloring_m3_matches_published_sets():
             (frozenset({3, 1}), 3),
         }
     )
-    assert is_strong_coloring(ec).is_valid
+    assert general_strength(ec).is_valid
 
 
 @pytest.mark.parametrize("m", [3, 6, 9, 12])
 def test_cycle_strong_coloring_multiples_of_three(m):
     ec = cycle_strong_coloring(m)
-    assert len(ec.colors) == 3
-    assert is_strong_coloring(ec).is_valid
+    assert len({s for _, s in ec.colored_edges}) == 3
+    assert general_strength(ec).is_valid
 
 
 def test_cycle_strong_coloring_rejects_other_lengths():
@@ -504,11 +551,6 @@ BIPARTITE_THREE_COLORS = (
 @pytest.mark.parametrize(
     "graph, violations",
     [
-        pytest.param(
-            "ColoredGraph(tuple('abcde'), frozenset((frozenset('abcde'[i:i + 2]), 1) for i in range(4)))",
-            5,
-            id="path",
-        ),
         pytest.param(BIPARTITE_THREE_COLORS, 3, id="bipartite"),
     ],
 )

@@ -5,7 +5,7 @@ import random
 import pytest
 from conftest import _roundtrip_catalog, _star_to_color, _walked_classes
 
-from pdakit.combinators import cycle_product
+from pdakit.combinators import cycle_product, star_product
 from pdakit.core import EquivalenceResult, PdaArray, equivalent, params, validate
 from pdakit.families import disjoint_union_coloring, trivial_pda
 from pdakit.graphs import coloring_to_pda, pda_to_coloring
@@ -227,6 +227,43 @@ def test_decode_rejects_a_log_of_the_wrong_slot_count(example1):
     for log, count in ((BroadcastLog(()), 0), (other, 4)):
         with pytest.raises(SchemeError, match=rf"broadcast log has {count} slots, the array has S=1$"):
             decode(p, place(p, lib), log, (1, 2))
+
+
+@pytest.mark.parametrize("length", [8, 0, 2])
+def test_decode_rejects_a_payload_that_is_not_one_packet_long(length):
+    # An 8-byte log used to overflow int.to_bytes, and an empty payload decoded to wrong bytes.
+    p = trivial_pda()
+    lib = FileLibrary.for_array(p, 2, seed=0)
+    log = BroadcastLog(tuple(Slot(slot.color, bytes(length), slot.senders)
+                             for slot in deliver(p, lib, (1, 2)).slots))
+    with pytest.raises(SchemeError, match=rf"^slot 1 carries {length} bytes, a packet here has 1$"):
+        decode(p, place(p, lib), log, (1, 2))
+
+
+@pytest.mark.parametrize("k", [0, -1, 3])
+def test_user_bytes_rejects_a_user_outside_1_to_k(k):
+    p = trivial_pda()
+    caches = place(p, FileLibrary.for_array(p, 2, seed=0))
+    assert [caches.user_bytes(u) for u in (1, 2)] == [2, 2]
+    with pytest.raises(SchemeError, match=rf"^no user {k}: the caches hold users 1..2$"):
+        caches.user_bytes(k)
+
+
+def test_the_decode_plan_shares_each_sender_pair_between_users():
+    p = coloring_to_pda(star_product([pda_to_coloring(trivial_pda())] * 2))
+    assert p.S == 1 and len(p.color_cells[0]) == 4
+    users, _ = p.decode_plan
+    # Users 1 and 2 both strip column 3's cell, through one shared pair object.
+    first, second = ({cell[0]: cell for cell in users[k][0][2]} for k in (0, 1))
+    assert first[2] == second[2] and first[2] is second[2]
+    # The plan equals one built with a fresh pair per user.
+    classes = _walked_classes(p)
+    fresh = tuple(
+        tuple((j, e - 1, tuple((k2, j2) for j2, k2 in classes[e] if k2 != k)) for j, e in
+              ((j, p.grid[j][k]) for j in range(p.F) if p.grid[j][k] is not None))
+        for k in range(p.K)
+    )
+    assert users == fresh
 
 
 def test_the_decode_plan_is_built_once_per_array_and_only_when_simulated(example1):
