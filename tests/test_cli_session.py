@@ -64,6 +64,8 @@ SESSION = [
     "equiv sc.pda strip.pda",
     "equiv sc.pda sc.pda --budget 0",
     "table III",
+    "table VIII",
+    "table IX --estimate",
 ]
 
 
