@@ -11,7 +11,6 @@ from .analytics import (
     SchemeRow,
     TableRow,
     binary_entropy,
-    binomial,
     block_code_cycle_params,
     block_code_params,
     cycle_family_params,

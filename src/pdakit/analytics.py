@@ -13,6 +13,8 @@ their printed values and flagged ``not-recomputed``.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -25,13 +27,6 @@ CSV_HEADER = "label,K,one_minus_MN,F,R,paper_value,divergence"
 
 class ParameterError(ValueError):
     """Family or closed-form parameters outside their legal range."""
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) as an exact integer; zero outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def binary_entropy(x) -> float:
@@ -127,8 +122,8 @@ def cycle_law(base: KFgS, m: int) -> KFgS:
 def _intersection_t(n: int, a: int, b: int, t: int) -> KFgS:
     check_intersection_t(n, a, b, t)
     d = a + b - 2 * t  # size of the symmetric difference
-    g = binomial(b, t) * binomial(n - b, a - t)
-    return binomial(n, b), binomial(n, a), g, binomial(n, d) * binomial(n - d, t)
+    g = math.comb(b, t) * math.comb(n - b, a - t)
+    return math.comb(n, b), math.comb(n, a), g, math.comb(n, d) * math.comb(n - d, t)
 
 
 def restricted_family_params(n: int, a: int, b: int, t: int) -> SchemeRow:
@@ -138,8 +133,8 @@ def restricted_family_params(n: int, a: int, b: int, t: int) -> SchemeRow:
     1-M/N = C(n-a-t,b-t)/F,  R = C(n,a+b) C(a+b,b) / F.
     """
     check_restricted(n, a, b, t)
-    k, s = binomial(n, a + t) * binomial(a + t, a), binomial(n, a + b) * binomial(a + b, b)
-    return _row(f"n={n} a={a} b={b} t={t}", (k, binomial(n, b - t), binomial(n - a - t, b - t), s))
+    k, s = math.comb(n, a + t) * math.comb(a + t, a), math.comb(n, a + b) * math.comb(a + b, b)
+    return _row(f"n={n} a={a} b={b} t={t}", (k, math.comb(n, b - t), math.comb(n - a - t, b - t), s))
 
 
 def star_intersection_params(
@@ -158,7 +153,7 @@ def cycle_family_params(n: int, a: int, b: int, m: int) -> SchemeRow:
     """Closed forms for the cycle product over a disjoint-union coloring: the
     cycle law applied to K = C(n,b),  F = C(n,a),  g = C(n-b,a),  S = C(n,a+b)."""
     check_disjoint_union(n, a, b)
-    base = binomial(n, b), binomial(n, a), binomial(n - b, a), binomial(n, a + b)
+    base = math.comb(n, b), math.comb(n, a), math.comb(n - b, a), math.comb(n, a + b)
     return _row(f"n={n} a={a} b={b} m={m}", cycle_law(base, m))
 
 
@@ -183,33 +178,34 @@ def minimal_x(n: int, l: int) -> int:
 _BLOCK_CODE_NOTE = "K = n*q inferred from the published comparison rows"
 
 
-def _block_code(n: int, q: int, l: int, x: int) -> KFgS:
+def _block_code(n: int, q: int, l: int) -> tuple[str, KFgS]:
+    """The scheme's label (n,q,l,x) and its (K, F, g, S), with x = minimal_x(n, l)."""
     if n < 1 or l < 1:
         raise ParameterError(f"need n, l >= 1, got n={n} l={l}")
     if not _is_prime_power(q):
         raise ParameterError(f"q must be a prime power, got q={q}")
-    want = minimal_x(n, l)
-    if x != want:
-        raise ParameterError(f"x={x} is not minimal: least x with {l + 1} | {n}x is {want}")
-    return n * q, (q - 1) * q**l * x * n // (l + 1), x * (q - 1) * q ** (l - 1), x * q**l
+    x = minimal_x(n, l)
+    kfgs = n * q, (q - 1) * q**l * x * n // (l + 1), x * (q - 1) * q ** (l - 1), x * q**l
+    return f"({n},{q},{l},{x})", kfgs
 
 
-def block_code_params(n: int, q: int, l: int, x: int) -> SchemeRow:
+def block_code_params(n: int, q: int, l: int) -> SchemeRow:
     """Parameter arithmetic of the linear-block-code family.
 
     F = (q-1) q^l x n / (l+1),  S = x q^l,  g = x (q-1) q^(l-1),
     M/N = 1 - (l+1)/(nq),  R = (l+1)/((q-1) n).  K = nq, inferred from the
-    published comparison rows (marked in the note).  x must be the least
-    positive integer with (l+1) | nx; it is validated, not computed.  Only the
-    arithmetic is implemented, so n > l is not required here; the published
-    cycle-transform rows themselves use n < l.
+    published comparison rows (marked in the note).  x is the least positive
+    integer with (l+1) | nx, computed from n and l and printed in the label.
+    Only the arithmetic is implemented, so n > l is not required here; the
+    published cycle-transform rows themselves use n < l.
     """
-    return _row(f"({n},{q},{l},{x})", _block_code(n, q, l, x), note=_BLOCK_CODE_NOTE)
+    return _row(*_block_code(n, q, l), note=_BLOCK_CODE_NOTE)
 
 
-def block_code_cycle_params(n: int, q: int, l: int, x: int, m: int) -> SchemeRow:
+def block_code_cycle_params(n: int, q: int, l: int, m: int) -> SchemeRow:
     """The block-code family under the cycle product's law (``cycle_law``)."""
-    return _row(f"({n},{q},{l},{x}) m={m}", cycle_law(_block_code(n, q, l, x), m), note=_BLOCK_CODE_NOTE)
+    label, kfgs = _block_code(n, q, l)
+    return _row(f"{label} m={m}", cycle_law(kfgs, m), note=_BLOCK_CODE_NOTE)
 
 
 @dataclass(frozen=True)
@@ -311,7 +307,7 @@ def _table_v() -> list[TableRow]:
     # survive gamma-function cancellation; F itself indexes no integral scheme.
     half = SchemeRow(
         label="a=4.5",
-        K=binomial(9, 2) ** 2,
+        K=math.comb(9, 2) ** 2,
         one_minus_MN=Fraction(81, 256),
         F=None,
         R=Fraction(81, 4),
@@ -339,20 +335,20 @@ def _table_vii() -> list[TableRow]:
 
 
 def _table_viii() -> list[TableRow]:
-    # the printed x=4 in row 2 is not minimal; x=3 is, and reproduces F=2^46
+    # row 2 prints x=4, which is not minimal; the minimal x=3 reproduces F=2^46
     rows = [
-        ((24, 2, 17, 3), "(24,2,17,3)", ("48", "3/8", "2^19", "3/4")),
-        ((60, 2, 44, 3), "(60,2,44,4)", ("120", "3/8", "2^46", "3/4")),
-        ((96, 2, 71, 3), "(96,2,71,3)", ("192", "3/8", "2^73", "3/4")),
+        ((24, 2, 17), "(24,2,17,3)", ("48", "3/8", "2^19", "3/4")),
+        ((60, 2, 44), "(60,2,44,4)", ("120", "3/8", "2^46", "3/4")),
+        ((96, 2, 71), "(96,2,71,3)", ("192", "3/8", "2^73", "3/4")),
     ]
     return [_compare(block_code_params(*args), printed, label) for args, label, printed in rows]
 
 
 def _table_ix() -> list[TableRow]:
     rows = [
-        ((4, 2, 5, 3, 6), ("48", "3/8", "3*2^7", "2")),
-        ((10, 2, 14, 3, 6), ("120", "3/8", "3*2^16", "2")),
-        ((16, 2, 23, 3, 6), ("192", "3/8", "3*2^25", "2")),
+        ((4, 2, 5, 6), ("48", "3/8", "3*2^7", "2")),
+        ((10, 2, 14, 6), ("120", "3/8", "3*2^16", "2")),
+        ((16, 2, 23, 6), ("192", "3/8", "3*2^25", "2")),
     ]
     return [_compare(block_code_cycle_params(*args), printed) for args, printed in rows]
 
@@ -385,9 +381,11 @@ def render_csv(rows: list[TableRow], include_estimates: bool = False) -> str:
 
     The standard columns never hold floats; ``include_estimates`` appends an
     ``f_estimate`` column carrying the Stirling figures where one exists.
+    Cells holding a comma, such as the block-code labels, are quoted.
     """
-    header = CSV_HEADER + (",f_estimate" if include_estimates else "")
-    lines = [header]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(",") + (["f_estimate"] if include_estimates else []))
     for tr in rows:
         r = tr.row
         paper = ";".join(f"{col}={val}" for col, val in tr.paper_values)
@@ -395,5 +393,5 @@ def render_csv(rows: list[TableRow], include_estimates: bool = False) -> str:
         cells = [r.label, _cell(r.K), _cell(r.one_minus_MN), _cell(r.F), _cell(r.R), paper, divergence]
         if include_estimates:
             cells.append("" if r.f_estimate is None else f"{r.f_estimate:.1f}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        writer.writerow(cells)
+    return out.getvalue()

@@ -185,7 +185,7 @@ def _combined_cells(args, arrays: list[PdaArray]) -> int:
 
     Exact except for same-colors, which gets a bound: its rows are the first
     input's columns, and its columns some pairs of the two inputs' rows.  An
-    unsupported cycle length counts as no cells, so the operator reports it.
+    unsupported cycle length is a usage error.
     """
     if args.mode in ("same-colors", "star") and len(arrays) < 2:
         raise UsageError(f"{args.mode} needs at least two input files")
@@ -200,7 +200,9 @@ def _combined_cells(args, arrays: list[PdaArray]) -> int:
         raise UsageError("cycle takes exactly one input file")
     if args.m is None:
         raise UsageError("cycle requires --m")
-    return args.m**2 * arrays[0].F * arrays[0].K if analytics.cycle_length_supported(args.m) else 0
+    if not analytics.cycle_length_supported(args.m):
+        raise UsageError(f"cycle product supports m = 3 or m divisible by 6, got m={args.m}")
+    return args.m**2 * arrays[0].F * arrays[0].K
 
 
 def _combine_graphs(args, arrays: list[PdaArray]) -> graphs.ColoredBipartiteGraph:

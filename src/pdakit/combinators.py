@@ -78,14 +78,10 @@ def same_colors_claimed_params(p1: PdaArray, p2: PdaArray) -> tuple[int, int, in
     """
     # Colors are dense, so p2's colors are 1..S2, and the colors the arrays share are 1..min(S1, S2).
     shared = range(min(p1.S, p2.S))
-    K1, K2 = p1.K, p2.K
-    row_pairs = {(c1 // K1, c2 // K2) for s in shared for c1 in p1._classes[s] for c2 in p2._classes[s]}
-    k_claim = len(row_pairs)
-    f_claim = K1
-    sharing_cols = {c % K1 for s in shared for c in p1._classes[s]}
-    z_claim = K1 - len(sharing_cols)
-    s_claim = p2.S * p2.K
-    return (k_claim, f_claim, z_claim, s_claim)
+    cells1, cells2 = p1.color_cells, p2.color_cells
+    row_pairs = {(j1, j2) for s in shared for j1, _ in cells1[s] for j2, _ in cells2[s]}
+    sharing_cols = {k for s in shared for _, k in cells1[s]}
+    return len(row_pairs), p1.K, p1.K - len(sharing_cols), p2.S * p2.K
 
 
 def star_product(gs: Sequence[ColoredBipartiteGraph]) -> ColoredBipartiteGraph:

@@ -338,11 +338,11 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
 
     Backtracking search pruned on row and column star/color-multiplicity
     signatures: rows first, then columns, each level matched against the
-    candidates with its signature.  Parameter-distinct inputs are rejected
-    without search.  When the number of attempted assignments exceeds
-    ``budget`` the search gives up and reports BUDGET_EXHAUSTED.  The search
-    stack is a list with one generator per matched row or column, so its
-    depth (F + K) meets no recursion limit.
+    candidates with its signature.  Inputs whose signatures differ, as
+    parameter-distinct ones do, are rejected without search.  When the number
+    of attempted assignments exceeds ``budget`` the search gives up and
+    reports BUDGET_EXHAUSTED.  The search stack is a list with one generator
+    per matched row or column, so its depth (F + K) meets no recursion limit.
 
     The set-up reads each side's colored-cell index and visits each colored
     cell a constant number of times, so a mostly-star array costs little more
@@ -350,14 +350,10 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
     given budget included, match the recursive per-cell search it replaced,
     which test_equivalent_matches_the_reference_search keeps as the reference.
     """
-    pr1, pr2 = params(p1), params(p2)
-    if (pr1.K, pr1.F, pr1.Z, pr1.S) != (pr2.K, pr2.F, pr2.Z, pr2.S):
-        return EquivalenceResult.INEQUIVALENT
-
+    params(p1)  # raises on an invalid array
+    params(p2)
     sizes1 = [len(cells) for cells in p1._classes]
     sizes2 = [len(cells) for cells in p2._classes]
-    if sorted(sizes1) != sorted(sizes2):
-        return EquivalenceResult.INEQUIVALENT
     rows1, cols1 = _colored_cells(p1)
     rows2, cols2 = _colored_cells(p2)
 

@@ -62,7 +62,7 @@ class ColoredBipartiteGraph:
     once, in the pass that checks them at construction, and every scan reads
     that index, never the labels: ``_edges``, the (row, column, color index)
     triples in row-major order, and ``_palette``, the colors in order of first
-    appearance.
+    appearance.  No verdict is kept: each ``is_strong_coloring`` call scans.
     """
 
     left: tuple[Label, ...]
@@ -70,8 +70,6 @@ class ColoredBipartiteGraph:
     triples: frozenset[tuple[Label, Label, Label]]
     _edges: list[tuple[int, int, int]] = field(init=False, repr=False, compare=False)
     _palette: tuple[Label, ...] = field(init=False, repr=False, compare=False)
-    # The report of is_strong_coloring's first scan; never the grid oracle's verdict.
-    _strength: Optional[ValidationReport] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         row = {l: j for j, l in enumerate(self.left)}
@@ -158,13 +156,10 @@ def is_strong_coloring(g: ColoredBipartiteGraph) -> ValidationReport:
     some edge of the graph connects an endpoint of one to an endpoint of the
     other; in a bipartite graph that edge runs from one's row to the other's
     column.  Witnesses come out in declared order: colors by their first edge,
-    and within a color the pairs of edges row-major over the two sides.  The
-    scan runs once per graph: the report is kept on ``g`` and returned again
-    by later calls.
+    and within a color the pairs of edges row-major over the two sides.  Each
+    call scans and returns a fresh report; only arrays keep theirs.
     """
-    if g._strength is None:
-        object.__setattr__(g, "_strength", ValidationReport(tuple(_strong_violations_bipartite(g))))
-    return g._strength
+    return ValidationReport(tuple(_strong_violations_bipartite(g)))
 
 
 def pda_to_coloring(p: PdaArray) -> ColoredBipartiteGraph:

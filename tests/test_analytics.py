@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import itertools
 from fractions import Fraction
 from math import comb
@@ -12,7 +13,6 @@ from pdakit.analytics import (
     TABLE_NAMES,
     ParameterError,
     binary_entropy,
-    binomial,
     block_code_cycle_params,
     block_code_params,
     cycle_family_params,
@@ -31,12 +31,6 @@ from pdakit.families import (
     restricted_combined_family,
 )
 from pdakit.graphs import coloring_to_pda
-
-
-def test_binomial_edges():
-    assert binomial(5, 2) == 10
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
 
 
 def test_restricted_family_params_large_row():
@@ -133,11 +127,11 @@ def test_star_intersection_closed_forms_match_constructions():
 
 def test_cycle_family_params_m3_uses_nine_color_groups():
     row = cycle_family_params(4, 1, 2, 3)
-    assert row.R == Fraction(9 * binomial(4, 3), 3 * binomial(4, 1))
+    assert row.R == Fraction(9 * comb(4, 3), 3 * comb(4, 1))
 
 
 def test_block_code_params_published_row():
-    row = block_code_params(24, 2, 17, 3)
+    row = block_code_params(24, 2, 17)
     assert row.F == 2**19
     assert row.R == Fraction(3, 4)
     assert row.one_minus_MN == Fraction(3, 8)
@@ -147,12 +141,11 @@ def test_block_code_params_published_row():
 
 def test_block_code_params_validates_x_and_q():
     assert minimal_x(60, 44) == 3
+    assert block_code_params(60, 2, 44).label == "(60,2,44,3)"  # the table prints x=4
     with pytest.raises(ParameterError):
-        block_code_params(60, 2, 44, 4)  # the printed x, not minimal
+        block_code_params(24, 6, 17)  # q = 6 is not a prime power
     with pytest.raises(ParameterError):
-        block_code_params(24, 6, 17, 3)  # q = 6 is not a prime power
-    with pytest.raises(ParameterError):
-        block_code_params(0, 2, 1, 2)
+        block_code_params(0, 2, 1)
 
 
 def test_block_code_shortcut_forms_agree_with_the_g_and_s_arithmetic():
@@ -160,7 +153,7 @@ def test_block_code_shortcut_forms_agree_with_the_g_and_s_arithmetic():
     # g = x (q-1) q^(l-1) and S = x q^l, on the least x with (l+1) | nx.
     for n, q, l in itertools.product(range(1, 41), (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27), range(1, 16)):
         x = minimal_x(n, l)
-        row = block_code_params(n, q, l, x)
+        row = block_code_params(n, q, l)
         assert row.one_minus_MN == Fraction(x * (q - 1) * q ** (l - 1), row.F), (n, q, l)
         assert row.R == Fraction(x * q**l, row.F), (n, q, l)
 
@@ -211,12 +204,12 @@ def test_constructions_and_closed_forms_accept_the_same_parameters(rule):
 
 
 def test_block_code_cycle_params_published_row():
-    row = block_code_cycle_params(4, 2, 5, 3, 6)
+    row = block_code_cycle_params(4, 2, 5, 6)
     assert row.F == 3 * 2**7
     assert row.R == 2
     assert row.one_minus_MN == Fraction(3, 8)
     with pytest.raises(ParameterError):
-        block_code_cycle_params(4, 2, 5, 3, 4)
+        block_code_cycle_params(4, 2, 5, 4)
 
 
 def test_binary_entropy_basics():
@@ -315,7 +308,7 @@ def test_render_csv_format():
     text = render_csv(table_report("VIII"))
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
-    assert lines[1].startswith("(24,2,17,3),48,3/8,524288,3/4,")
+    assert lines[1].startswith('"(24,2,17,3)",48,3/8,524288,3/4,')
     assert text.endswith("\n")
 
 
@@ -334,6 +327,17 @@ def test_render_csv_estimates_behind_flag():
     text = render_csv(table_report("V"), include_estimates=True)
     assert text.splitlines()[0] == CSV_HEADER + ",f_estimate"
     assert "18542.9" in text
+
+
+@pytest.mark.parametrize("estimates", [False, True], ids=["exact", "estimate"])
+@pytest.mark.parametrize("name", TABLE_NAMES)
+def test_render_csv_parses_to_header_width_rows(name, estimates):
+    # Labels such as (24,2,17,3) hold commas, so a CSV reader must see them quoted.
+    table = table_report(name)
+    header, *rows = csv.reader(render_csv(table, include_estimates=estimates).splitlines())
+    assert len(header) == 7 + estimates
+    assert [len(row) for row in rows] == [len(header)] * len(table)
+    assert [row[0] for row in rows] == [tr.row.label for tr in table]
 
 
 @pytest.mark.parametrize("estimates", [False, True], ids=["exact", "estimate"])

@@ -244,7 +244,7 @@ def test_combine_usage_errors(tmp_path, ex1_file):
     out = tmp_path / "o.pda"
     assert main(["combine", "--mode", "star", ex1_file, "-o", str(out)]) == 2
     assert main(["combine", "--mode", "cycle", ex1_file, "-o", str(out)]) == 2  # missing --m
-    assert main(["combine", "--mode", "cycle", "--m", "4", ex1_file, "-o", str(out)]) == 1
+    assert main(["combine", "--mode", "cycle", "--m", "4", ex1_file, "-o", str(out)]) == 2
 
 
 def test_same_colors_takes_exactly_two_files(tmp_path, ex1_file, capsys):

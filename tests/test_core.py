@@ -515,6 +515,11 @@ def _equivalence_corpus() -> list[tuple[str, PdaArray, PdaArray]]:
         corpus.append((f"{name}/self", p, p))
         for seed in (1, 5):
             corpus.append((f"{name}/relabel-{seed}", p, _seeded_relabeling(p, seed)))
+    # Distinct pool arrays, and a pair of equal (K, F, Z, S) = (4, 4, 2, 4) whose
+    # color-class sizes differ ([1, 2, 2, 3] against [2, 2, 2, 2]): the
+    # signatures alone must reject them, as the reference's pre-checks do.
+    corpus += [(f"{n1}/{n2}", p1, p2) for n1, p1 in pool.items() for n2, p2 in pool.items() if n1 != n2]
+    corpus.append(("4x4/class-sizes-differ", _rows("1 * * 2|* 1 * 3|* * 1 *|4 2 3 *"), pool["example1"]))
     corpus.append(("3x3/rows-differ", _rows("* * *|* * *|1 2 3"), _rows("* * *|* * 1|2 3 *")))
     for i, (a, b) in enumerate(_INEQUIVALENT_SAME_SIGNATURES):
         corpus.append((f"same-signatures-{i}", _rows(a), _rows(b)))

