@@ -1,7 +1,8 @@
 """Composition operators on strong edge colorings.
 
-Every operator checks its inputs with the brute-force strength oracle, builds
-the composite triple system, and returns a colored graph whose colors are
+Every operator checks its inputs with the strength oracle (one pass per color
+class when clean, a walk of the pairs only in a class that fails), builds the
+composite triple system, and returns a colored graph whose colors are
 structured tuples recording exactly which input colors and vertices
 contributed.  All factors are bipartite, as every array's coloring is; the
 tensor product takes them as general graphs and checks each on its split

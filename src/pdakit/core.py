@@ -8,9 +8,11 @@ star or an integer color in 1..S.  A valid array satisfies three conditions:
   C. any two equal integers at (j1,k1), (j2,k2) have stars at both opposite
      corners (j1,k2) and (j2,k1).
 
-The validator here is a brute-force pair scan, deliberately independent of any
-construction logic, so it can serve as the oracle for every generator and
-combinator in this package.
+The validator here decides, then names: a color class that is clean costs one
+pass over its cells, and only a class that fails walks its pairs of equal
+entries, in the same order as a full pair scan, to name every violation.  It
+is deliberately independent of any construction logic, so it can serve as the
+oracle for every generator and combinator in this package.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import compress
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional, Sequence
 
 # A grid entry: None encodes the star symbol, integers >= 1 are colors.
@@ -228,13 +231,15 @@ class PdaArray:
 
 
 def validate(p: PdaArray) -> ValidationReport:
-    """Check conditions A, B, C by brute force and report every violation.
+    """Check conditions A, B, C and report every violation.
 
     Condition A is interpreted as "all columns contain the same number of
-    stars"; Z is measured from the array, never taken from metadata.  The scan
-    over all pairs of equal entries is O(F^2 K^2) in the worst case and shares
-    no logic with any construction in this package.  It runs once per array:
-    the report is kept on ``p`` and returned again by later calls.
+    stars"; Z is measured from the array, never taken from metadata.  A
+    clean color class costs one pass over its cells: each cell's row is read
+    at the class's columns.  Only a class that fails walks its pairs of equal
+    entries, row-major as a full pair scan would, to name the witnesses.  The
+    scan shares no logic with any construction in this package.  It runs once
+    per array: the report is kept on ``p`` and returned again by later calls.
     """
     if p._report is None:
         object.__setattr__(p, "_report", ValidationReport(tuple(_grid_violations(p))))
@@ -258,6 +263,16 @@ def _grid_violations(p: PdaArray) -> list[Violation]:
 
     grid, K = p.grid, p.K
     for color, flat in enumerate(p._classes, start=1):
+        # Decide the class in one pass.  A cell's row, gathered at every class
+        # column, holds its own color there and a star everywhere else exactly
+        # when no other cell shares its row or column or colors a corner with
+        # it.  Only a class that fails walks its pairs, to name the witnesses.
+        last = len(flat) - 1
+        if not last:
+            continue
+        gather = itemgetter(*[c % K for c in flat])
+        if all(gather(grid[c // K]).count(None) == last for c in flat):
+            continue
         cells = [divmod(c, K) for c in flat]
         for a, (j1, k1) in enumerate(cells):
             row1 = grid[j1]

@@ -17,6 +17,7 @@ all follow that order, so none depends on set iteration or hashing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Hashable, Iterable, Optional
 
 from .core import Entry, PdaArray, ValidationReport, Violation
@@ -128,18 +129,31 @@ def _strong_violations_bipartite(g: ColoredBipartiteGraph) -> list[Violation]:
     by_color: list[list[tuple[int, int]]] = [[] for _ in g._palette]
     for j, k, c in g._edges:
         by_color[c].append((j, k))
-    width = len(g.right)
-    edge_set = {j * width + k for j, k, _ in g._edges}
+    # Each row's neighbours as a set of column positions.  Sets, not bitmasks
+    # over the columns: a mask costs a word per 30 columns at every edge, so a
+    # wide graph's scan would grow with edges times width.
+    adjacent: list[set[int]] = [set() for _ in g.left]
+    for j, k, _ in g._edges:
+        adjacent[j].add(k)
     left, right = g.left, g.right
     violations: list[Violation] = []
     for s, edges in zip(g._palette, by_color):
+        # Decide the class in one pass.  Its edges are an induced matching
+        # exactly when their columns are distinct and each edge's row meets
+        # no class column but its own.  Only a class that fails walks its
+        # pairs, to name the witnesses.
+        if len(edges) < 2:
+            continue
+        ends = {k for _, k in edges}
+        if len(ends) == len(edges) and all(len(ends.intersection(adjacent[j])) == 1 for j, _ in edges):
+            continue
         for i, (j1, k1) in enumerate(edges):
             for j2, k2 in edges[i + 1:]:
                 if j1 == j2 or k1 == k2:
                     kind = "shared-vertex"
                     detail = f"same-colored edges meet at {(left[j1] if j1 == j2 else right[k1])!r}"
-                elif j1 * width + k2 in edge_set or j2 * width + k1 in edge_set:
-                    link = (left[j1], right[k2]) if j1 * width + k2 in edge_set else (left[j2], right[k1])
+                elif k2 in adjacent[j1] or k1 in adjacent[j2]:
+                    link = (left[j1], right[k2]) if k2 in adjacent[j1] else (left[j2], right[k1])
                     kind = "linked-edges"
                     detail = f"edge {link!r} joins two edges of color {s!r}"
                 else:
@@ -150,14 +164,17 @@ def _strong_violations_bipartite(g: ColoredBipartiteGraph) -> list[Violation]:
 
 
 def is_strong_coloring(g: ColoredBipartiteGraph) -> ValidationReport:
-    """Brute-force strength check over all pairs of same-colored edges.
+    """Strength check: decide each color class, then name its violating pairs.
 
     Two edges of one color violate strength when they share a vertex or when
     some edge of the graph connects an endpoint of one to an endpoint of the
     other; in a bipartite graph that edge runs from one's row to the other's
-    column.  Witnesses come out in declared order: colors by their first edge,
-    and within a color the pairs of edges row-major over the two sides.  Each
-    call scans and returns a fresh report; only arrays keep theirs.
+    column.  A class that is clean costs one pass over its edges, each edge's
+    row tested against the class's columns; only a class that fails walks its
+    pairs of edges.  Witnesses come out in declared order: colors by their first edge,
+    and within a color the pairs of edges row-major over the two sides, the
+    order a walk of every pair gives.  Each call scans and returns a fresh
+    report; only arrays keep theirs.
     """
     return ValidationReport(tuple(_strong_violations_bipartite(g)))
 
@@ -166,11 +183,11 @@ def pda_to_coloring(p: PdaArray) -> ColoredBipartiteGraph:
     """View an array as a colored bipartite graph: rows 1..F, columns 1'..K'."""
     left = tuple(range(1, p.F + 1))
     right = tuple(f"{k}'" for k in range(1, p.K + 1))
+    # Colors are >= 1, so each row selects its own colored cells and their columns.
     triples = frozenset(
-        (j + 1, right[k], e)
-        for j, row in enumerate(p.grid)
-        for k, e in enumerate(row)
-        if e is not None
+        (j, r, e)
+        for j, row in zip(left, p.grid)
+        for r, e in zip(compress(right, row), filter(None, row))
     )
     return ColoredBipartiteGraph(left, right, triples)
 
@@ -198,6 +215,10 @@ def coloring_to_pda(g: ColoredBipartiteGraph) -> PdaArray:
     grid: list[list[Entry]] = [[None] * len(g.right) for _ in g.left]
     for j, k, c in g._edges:
         grid[j][k] = g._palette[c] if already_dense else c + 1
+    # Rows become tuples one by one, so the filled lists and the rows the
+    # array keeps are never both held whole.
+    for j, row in enumerate(grid):
+        grid[j] = tuple(row)
     legend = None if already_dense else dict(zip(dense, g._palette))
     return PdaArray(grid, legend=legend)
 

@@ -63,6 +63,35 @@ def _star_to_color(p: PdaArray, rng: random.Random) -> PdaArray:
     return PdaArray(rows)
 
 
+def _one_fault_classes() -> dict[str, PdaArray]:
+    """Color 1 on a diagonal, clean but for the one fault each name states.
+
+    The colored corner is color 2, a class of one cell, as is the only class of "one cell".
+    """
+
+    def diagonal(F: int, K: int) -> list[list[int | None]]:
+        return [[1 if j == k else None for k in range(K)] for j in range(F)]
+
+    row, column, corner = diagonal(4, 5), diagonal(5, 4), diagonal(4, 4)
+    row[0][4] = 1
+    column[4][0] = 1
+    corner[0][1] = 2
+    return {
+        "repeated row": PdaArray(row),
+        "repeated column": PdaArray(column),
+        "colored corner": PdaArray(corner),
+        "one cell": PdaArray([[None, 1]]),
+    }
+
+
+@pytest.fixture(scope="session")
+def star_1024() -> tuple[PdaArray, PdaArray]:
+    """The 1024 x 1024 star product of ten trivial arrays (one color of 1,024 cells),
+    and a copy with one star recolored."""
+    star = coloring_to_pda(star_product([pda_to_coloring(trivial_pda())] * 10))
+    return star, _star_to_color(star, random.Random(1024))
+
+
 @pytest.fixture
 def example1() -> PdaArray:
     return PdaArray(EXAMPLE1_ROWS)

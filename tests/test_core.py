@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import _roundtrip_catalog, _star_to_color, _walked_classes
+from conftest import _one_fault_classes, _roundtrip_catalog, _star_to_color, _walked_classes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,6 +191,18 @@ def test_grid_scan_matches_the_reference_on_mutants():
             rows[rng.randrange(star.F)][rng.randrange(star.K)] = rng.choice([None, 1])
         verdicts.append(_assert_grid_scan_matches_reference(PdaArray(rows)))
     assert not all(verdicts)
+
+
+def test_grid_scan_matches_the_reference_on_large_and_one_fault_classes(star_1024):
+    star, recolored = star_1024
+    assert _assert_grid_scan_matches_reference(star)
+    assert not _assert_grid_scan_matches_reference(recolored)
+    assert {v.condition for v in core._grid_violations(recolored)} == {"A", "B", "C"}
+    faults = {}
+    for name, p in _one_fault_classes().items():
+        _assert_grid_scan_matches_reference(p)
+        faults[name] = [v.condition for v in core._grid_violations(p) if v.condition != "A"]
+    assert faults == {"repeated row": ["B"], "repeated column": ["B"], "colored corner": ["C"], "one cell": []}
 
 
 @given(st.integers(min_value=0, max_value=10**6))

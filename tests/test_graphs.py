@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import _roundtrip_catalog, _star_to_color
+from conftest import _one_fault_classes, _roundtrip_catalog, _star_to_color
 
 import pdakit
-from pdakit.combinators import cycle_product
+from pdakit import graphs
+from pdakit.combinators import cycle_product, star_product
 from pdakit.core import PdaArray, ValidationReport, Violation, validate, write_pda
-from pdakit.families import disjoint_union_coloring, star_graph_coloring, trivial_pda
+from pdakit.families import disjoint_union_coloring, restricted_combined_family, star_graph_coloring, trivial_pda
 from pdakit.graphs import (
     ColoredBipartiteGraph,
     ColoredGraph,
@@ -228,6 +229,88 @@ def test_cross_oracle_agreement_random(seed):
     assert bc_clean == strong
     assert a_clean == _constant_right_degree(p)
     assert report.is_valid == (strong and _constant_right_degree(p))
+
+
+def _reference_strong_violations(g: ColoredBipartiteGraph) -> list[Violation]:
+    """The strength scan that walks every pair of same-colored edges, and finds links in a set of edges."""
+    by_color: list[list[tuple[int, int]]] = [[] for _ in g._palette]
+    for j, k, c in g._edges:
+        by_color[c].append((j, k))
+    width = len(g.right)
+    edge_set = {j * width + k for j, k, _ in g._edges}
+    left, right = g.left, g.right
+    violations: list[Violation] = []
+    for s, edges in zip(g._palette, by_color):
+        for i, (j1, k1) in enumerate(edges):
+            for j2, k2 in edges[i + 1:]:
+                if j1 == j2 or k1 == k2:
+                    kind = "shared-vertex"
+                    detail = f"same-colored edges meet at {(left[j1] if j1 == j2 else right[k1])!r}"
+                elif j1 * width + k2 in edge_set or j2 * width + k1 in edge_set:
+                    link = (left[j1], right[k2]) if j1 * width + k2 in edge_set else (left[j2], right[k1])
+                    kind = "linked-edges"
+                    detail = f"edge {link!r} joins two edges of color {s!r}"
+                else:
+                    continue
+                witness = ((left[j1], right[k1], s), (left[j2], right[k2], s))
+                violations.append(Violation(kind, witness, detail))
+    return violations
+
+
+def _assert_strength_scan_matches_reference(p: PdaArray) -> list[Violation]:
+    """Assert p's coloring equal to a walk of the grid and equal strength reports (kind,
+    witness, detail and order); return the violations."""
+    g = pda_to_coloring(p)
+    walked = {(j + 1, f"{k + 1}'", e) for j, row in enumerate(p.grid) for k, e in enumerate(row) if e is not None}
+    assert g.triples == walked
+    got = graphs._strong_violations_bipartite(g)
+    assert got == _reference_strong_violations(g)
+    return got
+
+
+def test_strength_scan_matches_the_reference_on_the_restricted_sweep():
+    n = 9
+    cases = [(a, b, t) for a in range(1, n) for b in range(1, n - a + 1) for t in range(b)]
+    assert len(cases) == 120
+    assert not any(_assert_strength_scan_matches_reference(restricted_combined_family(n, *c)) for c in cases)
+
+
+def test_strength_scan_matches_the_reference_on_mutants():
+    rng = random.Random(117)
+    arrays = []
+    for p, _ in _roundtrip_catalog():
+        arrays.append(p)
+        if p.S and p.star_count(0):
+            arrays += [_star_to_color(p, rng) for _ in range(6)]
+    star = coloring_to_pda(star_product([pda_to_coloring(trivial_pda())] * 8))
+    for _ in range(40):  # one to three cells of the 256 x 256 star product overwritten
+        rows = [list(row) for row in star.grid]
+        for _ in range(rng.randint(1, 3)):
+            rows[rng.randrange(star.F)][rng.randrange(star.K)] = rng.choice([None, 1])
+        arrays.append(PdaArray(rows))
+    strong = [not _assert_strength_scan_matches_reference(p) for p in arrays]
+    assert True in strong and False in strong
+
+
+def test_strength_scan_matches_the_reference_on_large_and_one_fault_classes(star_1024):
+    star, recolored = star_1024
+    assert not _assert_strength_scan_matches_reference(star)
+    kinds = {v.condition for v in _assert_strength_scan_matches_reference(recolored)}
+    assert kinds == {"shared-vertex", "linked-edges"}
+    faults = {name: [v.condition for v in _assert_strength_scan_matches_reference(p)]
+              for name, p in _one_fault_classes().items()}
+    assert faults == {
+        "repeated row": ["shared-vertex"],
+        "repeated column": ["shared-vertex"],
+        "colored corner": ["linked-edges"],
+        "one cell": [],
+    }
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=120, deadline=None)
+def test_strength_scan_matches_the_reference_on_small_grids(seed):
+    _assert_strength_scan_matches_reference(random_structural_array(random.Random(seed)))
 
 
 def general_strength(g: ColoredGraph) -> ValidationReport:
