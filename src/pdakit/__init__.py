@@ -9,7 +9,6 @@ bytes to prove the scheme works.
 from .analytics import (
     ParameterError,
     SchemeRow,
-    TableRow,
     binary_entropy,
     block_code_cycle_params,
     block_code_params,

@@ -4,8 +4,8 @@ reproduction of the published comparison tables with divergence flags.
 Every scheme number here is computed from exact binomials (Python integers
 and fractions).  Where a published table printed an approximation or a value
 our closed forms contradict, the report carries both: the exact value in the
-main columns and the printed one in ``paper_value``, with the column named in
-``divergence``.  Printed values are never silently substituted for computed
+main columns and the printed one in ``paper_values``, with the column named
+in ``divergence``.  Printed values are never silently substituted for computed
 ones.  Tables whose schemes come from other constructions entirely (II, IV,
 VI, used in the source material as comparison baselines) are emitted from
 their printed values and flagged ``not-recomputed``.
@@ -19,10 +19,6 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
-
-TABLE_NAMES = ("II", "III", "IV", "V", "VI", "VII", "VIII", "IX")
-
-CSV_HEADER = "label,K,one_minus_MN,F,R,paper_value,divergence"
 
 
 class ParameterError(ValueError):
@@ -54,7 +50,9 @@ class SchemeRow:
     """One scheme's exact parameters: K users, cache gap 1 - M/N, F, rate R.
 
     ``F`` is None when the parameter point indexes no integral scheme; in that
-    case ``f_estimate`` carries the Stirling figure.
+    case ``f_estimate`` carries the Stirling figure.  A published-table row
+    also fills ``paper_values`` and ``divergence``, as the module docstring
+    describes.
     """
 
     label: str
@@ -64,6 +62,8 @@ class SchemeRow:
     R: Optional[Fraction]
     f_estimate: Optional[float] = None
     note: str = ""
+    paper_values: tuple[tuple[str, str], ...] = ()
+    divergence: tuple[str, ...] = ()
 
 
 # Each family's legal range and the supported cycle lengths, stated once for the
@@ -208,21 +208,9 @@ def block_code_cycle_params(n: int, q: int, l: int, m: int) -> SchemeRow:
     return _row(f"{label} m={m}", cycle_law(kfgs, m), note=_BLOCK_CODE_NOTE)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """A report row: exact scheme values plus the printed ones and flags.
-
-    ``divergence`` names each column whose printed value differs from the
-    exact one (or that has no exact value); ``not-recomputed`` marks baseline
-    rows taken verbatim from the published comparison.
-    """
-
-    row: SchemeRow
-    paper_values: tuple[tuple[str, str], ...] = ()
-    divergence: tuple[str, ...] = ()
-
-
 _COLUMNS = ("K", "one_minus_MN", "F", "R")
+
+CSV_HEADER = ",".join(("label", *_COLUMNS, "paper_value", "divergence"))
 
 
 def _printed(text: str) -> Fraction:
@@ -234,7 +222,7 @@ def _printed(text: str) -> Fraction:
     return value
 
 
-def _compare(row: SchemeRow, printed: tuple[str, ...], printed_label: Optional[str] = None) -> TableRow:
+def _compare(row: SchemeRow, printed: tuple[str, ...], printed_label: Optional[str] = None) -> SchemeRow:
     """Flag each column whose printed value, given in ``_COLUMNS`` order, differs from ``row``."""
     divergent: list[str] = []
     shown: list[tuple[str, str]] = []
@@ -246,54 +234,28 @@ def _compare(row: SchemeRow, printed: tuple[str, ...], printed_label: Optional[s
     if printed_label is not None and printed_label != row.label:
         divergent.append("label")
         shown.append(("label", printed_label))
-    return TableRow(row=row, paper_values=tuple(shown), divergence=tuple(divergent))
+    return replace(row, paper_values=tuple(shown), divergence=tuple(divergent))
 
 
-# Tables II, IV and VI as printed (label, K, 1-M/N, F, R): baseline schemes
-# whose constructions are not in this package.
-_BASELINES = {
-    "II": (
-        ("n~6*sqrt(5)", "90", "1/4", "2382", "1"),
-        ("n~2*sqrt(66)", "132", "1/4", "15406", "1"),
-        ("n~2*sqrt(91)", "182", "1/4", "101147", "1"),
-    ),
-    "IV": (
-        ("n~sqrt(1568)", "784", "1/4", "2598778", "39.50"),
-        ("n~sqrt(2592)", "1296", "1/4", "255881905", "50.91"),
-        ("n~sqrt(4050)", "2025", "1/4", "45902134943", "63.64"),
-    ),
-    "VI": (
-        ("n~sqrt(540)", "270", "1/4", "1637369", "1"),
-        ("n~sqrt(792)", "396", "1/4", "44564986", "1"),
-        ("n~sqrt(1092)", "546", "1/4", "1230404836", "1"),
-    ),
-}
-
-
-def _baseline(label: str, *printed: str) -> TableRow:
+def _baseline(label: str, *printed: str) -> SchemeRow:
     k, one_minus, f, r = (_printed(text) for text in printed)
     row = SchemeRow(
         label=label, K=int(k), one_minus_MN=one_minus, F=int(f), R=r,
         note="published baseline scheme; F printed from a Stirling estimate",
     )
     shown = tuple((col, str(getattr(row, col))) for col in _COLUMNS)
-    return TableRow(row=row, paper_values=shown, divergence=("not-recomputed",))
+    return replace(row, paper_values=shown, divergence=("not-recomputed",))
 
 
-def _table_iii() -> list[TableRow]:
-    printed = {
-        10: ("90", "1/4", "210", "5"),
-        12: ("132", "1/4", "792", "7"),
-        14: ("182", "1/4", "3003", "8"),
-    }
-    note = "printed 1-M/N is the large-b asymptote ((lambda-1)/lambda)^2 = 1/4"
+def _at_n(closed: Callable[[int], SchemeRow], note: str, *printed: tuple[str, ...]) -> list[SchemeRow]:
+    """A closed form at n = 10, 12, 14, labelled ``n=<n>``, with its note."""
     return [
-        _compare(replace(restricted_family_params(n, 1, n // 2, 1), label=f"n={n}", note=note), printed[n])
-        for n in (10, 12, 14)
+        _compare(replace(closed(n), label=f"n={n}", note=note), values)
+        for n, values in zip((10, 12, 14), printed)
     ]
 
 
-def _table_v() -> list[TableRow]:
+def _table_v() -> list[SchemeRow]:
     note = "printed F is a Stirling estimate; printed 1-M/N the large-n asymptote"
 
     def closed(a: int) -> SchemeRow:
@@ -321,62 +283,68 @@ def _table_v() -> list[TableRow]:
     ]
 
 
-def _table_vii() -> list[TableRow]:
-    printed = {
-        10: ("270", "1/4", "703", "7.77"),
-        12: ("396", "1/4", "2152", "7.77"),
-        14: ("546", "1/4", "6679", "7.77"),
-    }
-    note = "printed F and R do not follow from the scheme's own closed forms"
-    return [
-        _compare(replace(cycle_family_params(n, n // 2, 2, 6), label=f"n={n}", note=note), printed[n])
-        for n in (10, 12, 14)
-    ]
-
-
-def _table_viii() -> list[TableRow]:
-    # row 2 prints x=4, which is not minimal; the minimal x=3 reproduces F=2^46
-    rows = [
-        ((24, 2, 17), "(24,2,17,3)", ("48", "3/8", "2^19", "3/4")),
-        ((60, 2, 44), "(60,2,44,4)", ("120", "3/8", "2^46", "3/4")),
-        ((96, 2, 71), "(96,2,71,3)", ("192", "3/8", "2^73", "3/4")),
-    ]
-    return [_compare(block_code_params(*args), printed, label) for args, label, printed in rows]
-
-
-def _table_ix() -> list[TableRow]:
-    rows = [
-        ((4, 2, 5, 6), ("48", "3/8", "3*2^7", "2")),
-        ((10, 2, 14, 6), ("120", "3/8", "3*2^16", "2")),
-        ((16, 2, 23, 6), ("192", "3/8", "3*2^25", "2")),
-    ]
-    return [_compare(block_code_cycle_params(*args), printed) for args, printed in rows]
-
-
-_TABLES: dict[str, Callable[[], list[TableRow]]] = {
-    "III": _table_iii,
+# Every published table in print order.  II, IV and VI are baseline schemes
+# whose constructions are not in this package, emitted as printed
+# (label, K, 1-M/N, F, R).
+_TABLES: dict[str, Callable[[], list[SchemeRow]]] = {
+    "II": lambda: [
+        _baseline("n~6*sqrt(5)", "90", "1/4", "2382", "1"),
+        _baseline("n~2*sqrt(66)", "132", "1/4", "15406", "1"),
+        _baseline("n~2*sqrt(91)", "182", "1/4", "101147", "1"),
+    ],
+    "III": lambda: _at_n(
+        lambda n: restricted_family_params(n, 1, n // 2, 1),
+        "printed 1-M/N is the large-b asymptote ((lambda-1)/lambda)^2 = 1/4",
+        ("90", "1/4", "210", "5"),
+        ("132", "1/4", "792", "7"),
+        ("182", "1/4", "3003", "8"),
+    ),
+    "IV": lambda: [
+        _baseline("n~sqrt(1568)", "784", "1/4", "2598778", "39.50"),
+        _baseline("n~sqrt(2592)", "1296", "1/4", "255881905", "50.91"),
+        _baseline("n~sqrt(4050)", "2025", "1/4", "45902134943", "63.64"),
+    ],
     "V": _table_v,
-    "VII": _table_vii,
-    "VIII": _table_viii,
-    "IX": _table_ix,
+    "VI": lambda: [
+        _baseline("n~sqrt(540)", "270", "1/4", "1637369", "1"),
+        _baseline("n~sqrt(792)", "396", "1/4", "44564986", "1"),
+        _baseline("n~sqrt(1092)", "546", "1/4", "1230404836", "1"),
+    ],
+    "VII": lambda: _at_n(
+        lambda n: cycle_family_params(n, n // 2, 2, 6),
+        "printed F and R do not follow from the scheme's own closed forms",
+        ("270", "1/4", "703", "7.77"),
+        ("396", "1/4", "2152", "7.77"),
+        ("546", "1/4", "6679", "7.77"),
+    ),
+    # row 2 prints x=4, which is not minimal; the minimal x=3 reproduces F=2^46
+    "VIII": lambda: [
+        _compare(block_code_params(24, 2, 17), ("48", "3/8", "2^19", "3/4"), "(24,2,17,3)"),
+        _compare(block_code_params(60, 2, 44), ("120", "3/8", "2^46", "3/4"), "(60,2,44,4)"),
+        _compare(block_code_params(96, 2, 71), ("192", "3/8", "2^73", "3/4"), "(96,2,71,3)"),
+    ],
+    "IX": lambda: [
+        _compare(block_code_cycle_params(4, 2, 5, 6), ("48", "3/8", "3*2^7", "2")),
+        _compare(block_code_cycle_params(10, 2, 14, 6), ("120", "3/8", "3*2^16", "2")),
+        _compare(block_code_cycle_params(16, 2, 23, 6), ("192", "3/8", "3*2^25", "2")),
+    ],
 }
 
+TABLE_NAMES = tuple(_TABLES)
 
-def table_report(which: str) -> list[TableRow]:
-    """Rows of one published comparison table, II through IX."""
-    key = which.strip().upper()
-    if key in _BASELINES:
-        return [_baseline(*printed) for printed in _BASELINES[key]]
-    if key not in _TABLES:
+
+def table_report(which: str) -> list[SchemeRow]:
+    """Rows of one published comparison table, named as in ``TABLE_NAMES``."""
+    if which not in _TABLES:
         raise ParameterError(f"no such table {which!r}; choose from {', '.join(TABLE_NAMES)}")
-    return _TABLES[key]()
+    return _TABLES[which]()
 
 
 def _cell(value) -> str:
     return "NA" if value is None else str(value)
 
 
-def render_csv(rows: list[TableRow], include_estimates: bool = False) -> str:
+def render_csv(rows: list[SchemeRow], include_estimates: bool = False) -> str:
     """CSV with exact rationals as p/q.
 
     The standard columns never hold floats; ``include_estimates`` appends an
@@ -386,10 +354,9 @@ def render_csv(rows: list[TableRow], include_estimates: bool = False) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(",") + (["f_estimate"] if include_estimates else []))
-    for tr in rows:
-        r = tr.row
-        paper = ";".join(f"{col}={val}" for col, val in tr.paper_values)
-        divergence = ";".join(tr.divergence)
+    for r in rows:
+        paper = ";".join(f"{col}={val}" for col, val in r.paper_values)
+        divergence = ";".join(r.divergence)
         cells = [r.label, _cell(r.K), _cell(r.one_minus_MN), _cell(r.F), _cell(r.R), paper, divergence]
         if include_estimates:
             cells.append("" if r.f_estimate is None else f"{r.f_estimate:.1f}")

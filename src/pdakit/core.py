@@ -478,6 +478,14 @@ def write_pda(p: PdaArray) -> str:
     return f"pda v1\n{header}\n{p}\n"
 
 
+def _lines(text: str) -> Iterator[str]:
+    """Each newline-terminated line of ``text`` in turn, without its newline."""
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+
+
 def read_pda(text: str) -> PdaArray:
     """Parse the text format, checking the header against measured values.
 
@@ -490,22 +498,22 @@ def read_pda(text: str) -> PdaArray:
         lines_so_far = text.count("\n") + 1
         last = text.rsplit("\n", 1)[-1]
         raise PdaFormatError("trailing newline required", lines_so_far, len(last) + 1)
-    lines = text.split("\n")[:-1]
-    if not lines or lines[0] != "pda v1":
+    # Lines are taken one at a time, so no second copy of the text is ever whole.
+    count = text.count("\n")
+    lines = _lines(text)
+    if next(lines) != "pda v1":
         raise PdaFormatError("expected magic line 'pda v1'", 1, 1)
-    if len(lines) < 2:
+    if count < 2:
         raise PdaFormatError("missing header line", 2, 1)
-    m = _HEADER_RE.match(lines[1])
+    m = _HEADER_RE.match(next(lines))
     if not m:
         raise PdaFormatError("expected 'K=<int> F=<int> Z=<int> S=<int>'", 2, 1)
     K, F, Z, S = (_parse_int(m[i], 2, m.start(i) + 1) for i in range(1, 5))
-    if len(lines) != 2 + F:
-        raise PdaFormatError(f"expected {F} grid lines, found {len(lines) - 2}", len(lines) + 1, 1)
+    if count != 2 + F:
+        raise PdaFormatError(f"expected {F} grid lines, found {count - 2}", count + 1, 1)
 
     grid: list[tuple[Entry, ...]] = []
-    for j in range(F):
-        line = lines[2 + j]
-        lineno = 3 + j
+    for lineno, line in enumerate(lines, start=3):
         tokens = line.split(" ")
         if "" in tokens:
             at = line.index("  ") + 2 if "  " in line else (1 if line.startswith(" ") else len(line) + 1)

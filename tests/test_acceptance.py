@@ -192,23 +192,23 @@ def test_criterion_6_restricted_family_closed_forms():
 def test_criterion_7_published_tables_with_divergence_ledger():
     with criterion(7, "published tables reproduced exactly, divergences flagged", 5.0):
         rows8 = table_report("VIII")
-        assert [r.row.F for r in rows8] == [2**19, 2**46, 2**73]
-        assert all(r.row.R == Fraction(3, 4) for r in rows8)
-        assert all(1 - r.row.one_minus_MN == Fraction(5, 8) for r in rows8)
+        assert [r.F for r in rows8] == [2**19, 2**46, 2**73]
+        assert all(r.R == Fraction(3, 4) for r in rows8)
+        assert all(1 - r.one_minus_MN == Fraction(5, 8) for r in rows8)
 
         rows9 = table_report("IX")
-        assert [r.row.F for r in rows9] == [3 * 2**7, 3 * 2**16, 3 * 2**25]
-        assert all(r.row.R == 2 for r in rows9)
+        assert [r.F for r in rows9] == [3 * 2**7, 3 * 2**16, 3 * 2**25]
+        assert all(r.R == 2 for r in rows9)
 
         rows5 = table_report("V")
-        assert [r.row.K for r in rows5] == [784, 1296, 2025]
-        assert [r.row.R for r in rows5] == [16, Fraction(81, 4), 25]
-        assert rows5[1].row.F is None and rows5[1].divergence  # non-integral row flagged
+        assert [r.K for r in rows5] == [784, 1296, 2025]
+        assert [r.R for r in rows5] == [16, Fraction(81, 4), 25]
+        assert rows5[1].F is None and rows5[1].divergence  # non-integral row flagged
         for tr, printed in ((rows5[0], 5215), (rows5[2], 66754)):
-            assert abs(tr.row.F - printed) / printed < 0.10
+            assert abs(tr.F - printed) / printed < 0.10
 
         rows3 = table_report("III")
-        assert [(r.row.K, r.row.F) for r in rows3] == [(90, 210), (132, 792), (182, 3003)]
+        assert [(r.K, r.F) for r in rows3] == [(90, 210), (132, 792), (182, 3003)]
         assert "R" in rows3[0].divergence
 
 

@@ -240,10 +240,10 @@ def test_stirling_relative_error_decreases():
 
 def test_table_viii_matches_published_values_exactly():
     rows = table_report("VIII")
-    assert [tr.row.F for tr in rows] == [2**19, 2**46, 2**73]
-    assert all(tr.row.R == Fraction(3, 4) for tr in rows)
-    assert all(tr.row.one_minus_MN == Fraction(3, 8) for tr in rows)
-    assert [tr.row.K for tr in rows] == [48, 120, 192]
+    assert [tr.F for tr in rows] == [2**19, 2**46, 2**73]
+    assert all(tr.R == Fraction(3, 4) for tr in rows)
+    assert all(tr.one_minus_MN == Fraction(3, 8) for tr in rows)
+    assert [tr.K for tr in rows] == [48, 120, 192]
     assert rows[0].divergence == ()
     assert rows[1].divergence == ("label",)  # printed x=4 is not minimal
     assert rows[2].divergence == ()
@@ -251,43 +251,43 @@ def test_table_viii_matches_published_values_exactly():
 
 def test_table_ix_matches_published_values_exactly():
     rows = table_report("IX")
-    assert [tr.row.F for tr in rows] == [3 * 2**7, 3 * 2**16, 3 * 2**25]
-    assert all(tr.row.R == 2 for tr in rows)
-    assert all(tr.row.one_minus_MN == Fraction(3, 8) for tr in rows)
+    assert [tr.F for tr in rows] == [3 * 2**7, 3 * 2**16, 3 * 2**25]
+    assert all(tr.R == 2 for tr in rows)
+    assert all(tr.one_minus_MN == Fraction(3, 8) for tr in rows)
     assert all(tr.divergence == () for tr in rows)
 
 
 def test_table_v_rows_and_flags():
     rows = table_report("V")
-    assert [tr.row.K for tr in rows] == [784, 1296, 2025]
-    assert [tr.row.R for tr in rows] == [16, Fraction(81, 4), 25]
-    assert rows[0].row.F == 4900
-    assert rows[1].row.F is None  # non-integral point, flagged
-    assert rows[2].row.F == 63504
+    assert [tr.K for tr in rows] == [784, 1296, 2025]
+    assert [tr.R for tr in rows] == [16, Fraction(81, 4), 25]
+    assert rows[0].F == 4900
+    assert rows[1].F is None  # non-integral point, flagged
+    assert rows[2].F == 63504
     for tr in rows:
         assert "F" in tr.divergence
     for tr, printed in zip((rows[0], rows[2]), (5215, 66754)):
-        assert abs(tr.row.F - printed) / printed < 0.10
-        assert tr.row.f_estimate == pytest.approx(printed, rel=1e-4)
-    assert rows[1].row.f_estimate == pytest.approx(18542, rel=1e-4)
+        assert abs(tr.F - printed) / printed < 0.10
+        assert tr.f_estimate == pytest.approx(printed, rel=1e-4)
+    assert rows[1].f_estimate == pytest.approx(18542, rel=1e-4)
 
 
 def test_table_iii_rows_and_flags():
     rows = table_report("III")
-    assert [tr.row.K for tr in rows] == [90, 132, 182]
-    assert [tr.row.F for tr in rows] == [210, 792, 3003]
-    assert [tr.row.R for tr in rows] == [6, 7, 8]
+    assert [tr.K for tr in rows] == [90, 132, 182]
+    assert [tr.F for tr in rows] == [210, 792, 3003]
+    assert [tr.R for tr in rows] == [6, 7, 8]
     assert "R" in rows[0].divergence  # printed 5 disagrees with the closed form
     assert "R" not in rows[1].divergence and "R" not in rows[2].divergence
     assert all("one_minus_MN" in tr.divergence for tr in rows)
-    assert rows[0].row.one_minus_MN == Fraction(1, 3)
+    assert rows[0].one_minus_MN == Fraction(1, 3)
 
 
 def test_table_vii_emits_closed_forms_with_flags():
     rows = table_report("VII")
-    assert [tr.row.K for tr in rows] == [270, 396, 546]
-    assert [tr.row.F for tr in rows] == [1512, 5544, 20592]
-    assert rows[0].row.R == Fraction(40, 63)
+    assert [tr.K for tr in rows] == [270, 396, 546]
+    assert [tr.F for tr in rows] == [1512, 5544, 20592]
+    assert rows[0].R == Fraction(40, 63)
     for tr in rows:
         assert {"one_minus_MN", "F", "R"} <= set(tr.divergence)
 
@@ -337,7 +337,7 @@ def test_render_csv_parses_to_header_width_rows(name, estimates):
     header, *rows = csv.reader(render_csv(table, include_estimates=estimates).splitlines())
     assert len(header) == 7 + estimates
     assert [len(row) for row in rows] == [len(header)] * len(table)
-    assert [row[0] for row in rows] == [tr.row.label for tr in table]
+    assert [row[0] for row in rows] == [tr.label for tr in table]
 
 
 @pytest.mark.parametrize("estimates", [False, True], ids=["exact", "estimate"])

@@ -1,7 +1,19 @@
+"""Combinator tests.  The tensor products of six bases are pinned in
+tests/golden/tensor_products.txt; after a deliberate change of output,
+regenerate it with `PYTHONPATH=src python tests/test_combinators.py` and
+review the diff.
+"""
+
 from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+from pathlib import Path
 
 import pytest
 
+from pdakit import cli
 from pdakit.combinators import (
     CombineError,
     combine_same_colors,
@@ -10,11 +22,12 @@ from pdakit.combinators import (
     star_product,
     tensor_product,
 )
-from pdakit.core import EquivalenceResult, equivalent, params, validate
-from pdakit.families import disjoint_union_coloring, star_graph_coloring, trivial_pda
+from pdakit.core import EquivalenceResult, PdaArray, equivalent, params, read_pda, validate, write_pda
+from pdakit.families import disjoint_union_coloring, intersection_t_coloring, star_graph_coloring, trivial_pda
 from pdakit.graphs import (
     ColoredBipartiteGraph,
     ColoredGraph,
+    NonConstantDegreeError,
     NotStrongError,
     as_general_graph,
     coloring_to_pda,
@@ -230,7 +243,6 @@ def test_combine_can_return_graph_with_nonconstant_degree():
     # without the nested-pair restriction the new column degrees may vary:
     # the operator still returns the coloring, only array conversion refuses
     from pdakit.families import disjoint_union_coloring
-    from pdakit.graphs import NonConstantDegreeError
 
     g1 = disjoint_union_coloring(4, 2, 1)
     g2 = disjoint_union_coloring(4, 1, 2)
@@ -254,3 +266,48 @@ def test_legends_are_total_and_invertible(strip):
         k = combined.right.index(col_label)
         assert p.legend[p.grid[j][k]] == graph_color
     assert set(p.legend.values()) == set(color_at.values())
+
+
+TENSOR_GOLDEN = Path(__file__).parent / "golden" / "tensor_products.txt"
+
+
+def _tensor_bases() -> dict[str, PdaArray]:
+    """Six valid bases.  Some pairs give a product whose column degrees differ,
+    which has no array form; the base read back from its file has no legend."""
+    return {
+        "trivial": trivial_pda(),
+        "disjoint-union(4,1,2)": coloring_to_pda(disjoint_union_coloring(4, 1, 2)),
+        "intersection-t(5,2,2,1)": coloring_to_pda(intersection_t_coloring(5, 2, 2, 1)),
+        "intersection-t(4,2,2,1)": coloring_to_pda(intersection_t_coloring(4, 2, 2, 1)),
+        "disjoint-union(4,1,1) read back": read_pda(write_pda(coloring_to_pda(disjoint_union_coloring(4, 1, 1)))),
+        "star(3)": coloring_to_pda(star_graph_coloring(3)),
+    }
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def tensor_product_lines() -> str:
+    """One line per ordered pair of bases: the product that `pdakit combine
+    --mode tensor` builds, as the sha256 of its file text and of its legend's
+    repr, or the degree error it raises."""
+    lines = []
+    for (name1, p1), (name2, p2) in itertools.product(_tensor_bases().items(), repeat=2):
+        try:
+            p = coloring_to_pda(cli._combine_graphs(argparse.Namespace(mode="tensor"), [p1, p2]))
+        except NonConstantDegreeError as exc:
+            outcome = f"NonConstantDegreeError: {exc}"
+        else:
+            outcome = f"{p.F}x{p.K} S={p.S} text {_sha256(write_pda(p))} legend {_sha256(repr(p.legend))}"
+        lines.append(f"{name1} x {name2}: {outcome}\n")
+    return "".join(lines)
+
+
+def test_tensor_products_of_the_bases_match_golden():
+    assert tensor_product_lines() == TENSOR_GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    TENSOR_GOLDEN.write_text(tensor_product_lines())
+    print(f"wrote {TENSOR_GOLDEN}")

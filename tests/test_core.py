@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -312,6 +313,19 @@ def test_budget_exhaustion(example1):
     assert equivalent(example1, example1, budget=0) is EquivalenceResult.BUDGET_EXHAUSTED
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the search exhausts its default budget on this pair, equivalent by construction",
+)
+def test_equivalent_decides_a_cycle_product_against_its_row_rotation():
+    # `pdakit combine --mode cycle --m 6 trivial.pda`, and the same file with
+    # its first grid row moved last.
+    p = coloring_to_pda(cycle_product(pda_to_coloring(trivial_pda()), 6))
+    moved = PdaArray(p.grid[1:] + p.grid[:1])
+    assert (p.F, p.K) == (12, 12)
+    assert equivalent(p, moved) is EquivalenceResult.EQUIVALENT
+
+
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=25, deadline=None)
 def test_equivalence_invariant_under_random_relabeling(rnd):
@@ -601,6 +615,21 @@ def test_read_then_write_is_identity_on_files(example1):
 
 def test_serialization_preserves_params(example1):
     assert params(read_pda(write_pda(example1))) == params(example1)
+
+
+def test_read_holds_no_second_copy_of_the_text(star_1024):
+    # A list of every line would cost about as much as the text itself; the
+    # parse may rise above what it keeps by well under a quarter of that.
+    star, _ = star_1024
+    text = write_pda(star)
+    tracemalloc.start()
+    try:
+        p = read_pda(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p == star
+    assert peak - retained < len(text) / 4
 
 
 def test_read_reports_bad_token_position():
