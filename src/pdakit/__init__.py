@@ -21,6 +21,7 @@ from .analytics import (
 )
 from .combinators import (
     CombineError,
+    combine,
     combine_same_colors,
     cycle_product,
     same_colors_claimed_params,

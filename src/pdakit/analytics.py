@@ -67,7 +67,7 @@ class SchemeRow:
 
 
 # Each family's legal range and the supported cycle lengths, stated once for the
-# constructions in `families`, `combinators.cycle_product` and the closed forms.
+# constructions in `families` and `combinators`, the closed forms and the CLI.
 
 
 def check_disjoint_union(n: int, a: int, b: int) -> None:
@@ -88,9 +88,10 @@ def check_restricted(n: int, a: int, b: int, t: int) -> None:
         raise ParameterError(f"need 0 <= t < b, got t={t} b={b}")
 
 
-def cycle_length_supported(m: int) -> bool:
+def check_cycle_length(m: int) -> None:
     """m = 3 (three vertex colors) or a multiple of 6 (two suffice)."""
-    return m == 3 or (m >= 6 and m % 6 == 0)
+    if m != 3 and not (isinstance(m, int) and m >= 6 and m % 6 == 0):
+        raise ParameterError(f"cycle product supports m = 3 or m divisible by 6, got m={m}")
 
 
 # A scheme's integer parameters (K, F, g, S): users, packets, colored cells
@@ -113,48 +114,58 @@ def cycle_law(base: KFgS, m: int) -> KFgS:
 
     S counts one group per vertex color and per oriented copy of the 3 edge colors.
     """
-    if not cycle_length_supported(m):
-        raise ParameterError(f"cycle forms need m = 3 or 6 | m, got m={m}")
+    check_cycle_length(m)
     k, f, g, s = base
     return m * k, m * f, 3 * g, (9 if m == 3 else 8) * s
 
 
-def _intersection_t(n: int, a: int, b: int, t: int) -> KFgS:
+def tensor_law(first: KFgS, second: KFgS) -> KFgS:
+    """The tensor product: (K1 V2, F1 V2, g1 g2, S1 S2), V2 = K2 + F2.  Its column
+    degrees are constant only when every row of the second factor, too, holds g2
+    colored cells; otherwise it has no array form."""
+    (k1, f1, g1, s1), (k2, f2, g2, s2) = first, second
+    return k1 * (k2 + f2), f1 * (k2 + f2), g1 * g2, s1 * s2
+
+
+def disjoint_union_kfgs(n: int, a: int, b: int) -> KFgS:
+    """K = C(n,b),  F = C(n,a),  g = C(n-b,a),  S = C(n,a+b)."""
+    check_disjoint_union(n, a, b)
+    return math.comb(n, b), math.comb(n, a), math.comb(n - b, a), math.comb(n, a + b)
+
+
+def intersection_t_kfgs(n: int, a: int, b: int, t: int) -> KFgS:
+    """K = C(n,b),  F = C(n,a),  g = C(b,t) C(n-b,a-t),  S = C(n,d) C(n-d,t), d = a+b-2t."""
     check_intersection_t(n, a, b, t)
     d = a + b - 2 * t  # size of the symmetric difference
     g = math.comb(b, t) * math.comb(n - b, a - t)
     return math.comb(n, b), math.comb(n, a), g, math.comb(n, d) * math.comb(n - d, t)
 
 
-def restricted_family_params(n: int, a: int, b: int, t: int) -> SchemeRow:
-    """Closed forms for the restricted same-colors combination of subset colorings.
-
-    K = C(n,a+t) C(a+t,a),  F = C(n,b-t),
-    1-M/N = C(n-a-t,b-t)/F,  R = C(n,a+b) C(a+b,b) / F.
-    """
+def restricted_kfgs(n: int, a: int, b: int, t: int) -> KFgS:
+    """K = C(n,a+t) C(a+t,a),  F = C(n,b-t),  g = C(n-a-t,b-t),  S = C(n,a+b) C(a+b,b)."""
     check_restricted(n, a, b, t)
     k, s = math.comb(n, a + t) * math.comb(a + t, a), math.comb(n, a + b) * math.comb(a + b, b)
-    return _row(f"n={n} a={a} b={b} t={t}", (k, math.comb(n, b - t), math.comb(n - a - t, b - t), s))
+    return k, math.comb(n, b - t), math.comb(n - a - t, b - t), s
+
+
+def restricted_family_params(n: int, a: int, b: int, t: int) -> SchemeRow:
+    """Closed forms for the restricted same-colors combination of subset colorings."""
+    return _row(f"n={n} a={a} b={b} t={t}", restricted_kfgs(n, a, b, t))
 
 
 def star_intersection_params(
     n: int, a: int, b: int, t: int, n2: int, a2: int, b2: int, t2: int
 ) -> SchemeRow:
-    """Closed forms for the star product of two intersection-size colorings.
-
-    Each factor has K = C(n,b),  F = C(n,a),  g = C(b,t) C(n-b,a-t),
-    S = C(n,a+b-2t) C(n-(a+b-2t),t); the star law multiplies them.
-    """
-    factors = _intersection_t(n, a, b, t), _intersection_t(n2, a2, b2, t2)
+    """Closed forms for the star product of two intersection-size colorings:
+    the star law on two ``intersection_t_kfgs``."""
+    factors = intersection_t_kfgs(n, a, b, t), intersection_t_kfgs(n2, a2, b2, t2)
     return _row(f"n={n} a={a} b={b} t={t} x n={n2} a={a2} b={b2} t={t2}", star_law(*factors))
 
 
 def cycle_family_params(n: int, a: int, b: int, m: int) -> SchemeRow:
     """Closed forms for the cycle product over a disjoint-union coloring: the
-    cycle law applied to K = C(n,b),  F = C(n,a),  g = C(n-b,a),  S = C(n,a+b)."""
-    check_disjoint_union(n, a, b)
-    base = math.comb(n, b), math.comb(n, a), math.comb(n - b, a), math.comb(n, a + b)
-    return _row(f"n={n} a={a} b={b} m={m}", cycle_law(base, m))
+    cycle law applied to ``disjoint_union_kfgs``."""
+    return _row(f"n={n} a={a} b={b} m={m}", cycle_law(disjoint_union_kfgs(n, a, b), m))
 
 
 def _is_prime_power(q: int) -> bool:

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 invalid, unreadable or incompatible array file,
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from pathlib import Path
@@ -59,36 +58,18 @@ def _write(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _binomial_past_cap(n: int, k: int) -> int:
-    """C(n, k), or the first of its partial products C(n - k + i, i) past BUILD_CAP_CELLS.
-
-    Those products grow with i, so this stops early on any n, however large.
-    """
-    k = min(k, n - k)
-    c = 1
-    for i in range(1, k + 1):
-        c = c * (n - k + i) // i
-        if c > BUILD_CAP_CELLS:
-            break
-    return c
-
-
-# F x K of each family from its closed form, once its range check passes, or a
-# lower bound of it past the cap.  A star family below m = 1 is under the cap,
-# so its builder reports it.
-def _disjoint_union_cells(n: int, a: int, b: int) -> int:
-    analytics.check_disjoint_union(n, a, b)
-    return _binomial_past_cap(n, a) * _binomial_past_cap(n, b)
-
-
-def _intersection_t_cells(n: int, a: int, b: int, t: int) -> int:
-    analytics.check_intersection_t(n, a, b, t)
-    return _binomial_past_cap(n, a) * _binomial_past_cap(n, b)
-
-
-def _restricted_cells(n: int, a: int, b: int, t: int) -> int:
-    analytics.check_restricted(n, a, b, t)
-    return _binomial_past_cap(n, b - t) * _binomial_past_cap(n, a + t) * _binomial_past_cap(a + t, a)
+def _subset_cells(check: Callable[..., None], kfgs: Callable[..., analytics.KFgS]) -> Callable[..., int]:
+    """A subset family's F x K, each factor clipped at the cap + 1.  Every legal
+    subset family has F, K >= n, so once the range check passes, an n^2 past the
+    cap is refused before any binomial is computed."""
+    def cells(n: int, *rest: int) -> int:
+        if n * n > BUILD_CAP_CELLS:
+            check(n, *rest)
+            k = f = n
+        else:
+            k, f, _, _ = kfgs(n, *rest)
+        return min(f, BUILD_CAP_CELLS + 1) * min(k, BUILD_CAP_CELLS + 1)
+    return cells
 
 
 class Family(NamedTuple):
@@ -97,10 +78,14 @@ class Family(NamedTuple):
     cells: Callable[..., int]  # F x K, or a bound of it past the cap, from the same flags
 
 
+# A star family below m = 1 is under the cap, so its builder reports it.
 FAMILIES = {
-    "disjoint-union": Family(("n", "a", "b"), families.disjoint_union_coloring, _disjoint_union_cells),
-    "intersection-t": Family(("n", "a", "b", "t"), families.intersection_t_coloring, _intersection_t_cells),
-    "restricted-combined": Family(("n", "a", "b", "t"), families.restricted_combined_family, _restricted_cells),
+    "disjoint-union": Family(("n", "a", "b"), families.disjoint_union_coloring,
+                             _subset_cells(analytics.check_disjoint_union, analytics.disjoint_union_kfgs)),
+    "intersection-t": Family(("n", "a", "b", "t"), families.intersection_t_coloring,
+                             _subset_cells(analytics.check_intersection_t, analytics.intersection_t_kfgs)),
+    "restricted-combined": Family(("n", "a", "b", "t"), families.restricted_combined_family,
+                                  _subset_cells(analytics.check_restricted, analytics.restricted_kfgs)),
     "trivial": Family((), families.trivial_pda, lambda: 4),
     "star": Family(("m",), families.star_graph_coloring, lambda m: m),
 }
@@ -181,42 +166,25 @@ def _cmd_simulate(args) -> int:
 
 
 def _combined_cells(args, arrays: list[PdaArray]) -> int:
-    """After the mode's usage checks, F x K of the combination from its inputs' shapes.
-
-    Exact except for same-colors, which gets a bound: its rows are the first
-    input's columns, and its columns some pairs of the two inputs' rows.  An
-    unsupported cycle length is a usage error.
-    """
+    """After the mode's usage checks, F x K of the combination from its operator's
+    law, or for same-colors a bound: its rows are the first input's columns, and
+    its columns some pairs of the two inputs' rows."""
     if args.mode in ("same-colors", "star") and len(arrays) < 2:
         raise UsageError(f"{args.mode} needs at least two input files")
-    if args.mode == "star":
-        return math.prod(p.F for p in arrays) * math.prod(p.K for p in arrays)
-    if args.mode in ("same-colors", "tensor"):
-        if len(arrays) != 2:
-            raise UsageError(f"{args.mode} takes exactly two input files")
-        p1, p2 = arrays
-        return p1.K * p1.F * p2.F if args.mode == "same-colors" else p1.F * p1.K * (p2.F + p2.K) ** 2
-    if len(arrays) != 1:
+    if args.mode in ("same-colors", "tensor") and len(arrays) != 2:
+        raise UsageError(f"{args.mode} takes exactly two input files")
+    if args.mode == "cycle" and len(arrays) != 1:
         raise UsageError("cycle takes exactly one input file")
-    if args.m is None:
+    if args.mode == "cycle" and args.m is None:
         raise UsageError("cycle requires --m")
-    if not analytics.cycle_length_supported(args.m):
-        raise UsageError(f"cycle product supports m = 3 or m divisible by 6, got m={args.m}")
-    return args.m**2 * arrays[0].F * arrays[0].K
-
-
-def _combine_graphs(args, arrays: list[PdaArray]) -> graphs.ColoredBipartiteGraph:
-    colorings = [graphs.pda_to_coloring(p) for p in arrays]
     if args.mode == "same-colors":
-        return combinators.combine_same_colors(*colorings)
-    if args.mode == "star":
-        return combinators.star_product(colorings)
-    if args.mode == "tensor":
-        g1, g2 = (graphs.as_general_graph(c) for c in colorings)
-        product = combinators.tensor_product(g1, g2)
-        left = [v for v in product.vertices if v[0][0] == "row"]
-        return graphs.split_bipartite(product, left)
-    return combinators.cycle_product(colorings[0], args.m)
+        return arrays[0].K * arrays[0].F * arrays[1].F
+    kfgs = [(r.K, r.F, r.g, r.S) for r in map(params, arrays)]
+    if args.mode == "cycle":
+        k, f, _, _ = analytics.cycle_law(kfgs[0], args.m)
+    else:
+        k, f, _, _ = (analytics.star_law if args.mode == "star" else analytics.tensor_law)(*kfgs)
+    return f * k
 
 
 def _cmd_combine(args) -> int:
@@ -228,8 +196,7 @@ def _cmd_combine(args) -> int:
     if cells > BUILD_CAP_CELLS:
         raise UsageError(f"mode {args.mode!r} builds up to {cells} cells (F x K); "
                          f"the cap is {BUILD_CAP_CELLS}")
-    combined = _combine_graphs(args, arrays)
-    p = graphs.coloring_to_pda(combined)
+    p = combinators.combine(args.mode, arrays, args.m)
     measured = params(p)
     if args.mode == "same-colors":
         claim = combinators.same_colors_claimed_params(arrays[0], arrays[1])

@@ -7,25 +7,27 @@ structured tuples recording exactly which input colors and vertices
 contributed.  All factors are bipartite, as every array's coloring is; the
 tensor product takes them as general graphs and checks each on its split
 into two sides.  Converting to an array (graphs.coloring_to_pda) densifies those
-tuples to integers and keeps the mapping on the array's legend.
-
-Outputs are not guaranteed to have constant column degree; conversion to an
-array is the caller's step and may legitimately fail for the same-colors
-combination without the nested-pair restriction (families module).
+tuples to integers and keeps the mapping on the array's legend; ``combine``
+runs the whole pipeline from arrays to an array.  Outputs need not have
+constant column degree, so the conversion may legitimately fail, as it does
+for the same-colors combination without the nested-pair restriction.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .analytics import cycle_length_supported
+from .analytics import check_cycle_length
 from .core import PdaArray
 from .graphs import (
     ColoredBipartiteGraph,
     ColoredGraph,
     Label,
     _require_strong,
+    as_general_graph,
+    coloring_to_pda,
+    pda_to_coloring,
     split_bipartite,
     two_coloring,
 )
@@ -151,8 +153,7 @@ def cycle_product(base: ColoredBipartiteGraph, m: int) -> ColoredBipartiteGraph:
     opposing orientations, which lives in the tests as the reference
     (test_cycle_product_equals_the_oriented_cycle_construction).
     """
-    if not cycle_length_supported(m):
-        raise CombineError(f"cycle product supports m = 3 or m divisible by 6, got m={m}")
+    check_cycle_length(m)
     _require_strong(base)
     ring = range(1, m + 1)
     # (first row coordinate, first column coordinate, cycle color) for every step
@@ -165,3 +166,22 @@ def cycle_product(base: ColoredBipartiteGraph, m: int) -> ColoredBipartiteGraph:
     right = tuple((x, v) for x in ring for v in base.right)
     triples = frozenset(((x, y), (u, v), (s, s2)) for y, v, s2 in base.triples for x, u, s in steps)
     return ColoredBipartiteGraph(left, right, triples)
+
+
+def combine(mode: str, arrays: Sequence[PdaArray], m: Optional[int] = None) -> PdaArray:
+    """The array ``pdakit combine --mode <mode>`` writes: the operator on the
+    arrays' colorings, converted back.  "same-colors" and "tensor" take two
+    arrays, "star" two or more, and "cycle" one and the cycle length m."""
+    colorings = [pda_to_coloring(p) for p in arrays]
+    if mode == "same-colors":
+        g = combine_same_colors(*colorings)
+    elif mode == "star":
+        g = star_product(colorings)
+    elif mode == "tensor":
+        product = tensor_product(*(as_general_graph(c) for c in colorings))
+        g = split_bipartite(product, [v for v in product.vertices if v[0][0] == "row"])
+    elif mode == "cycle":
+        g = cycle_product(colorings[0], m)
+    else:
+        raise CombineError(f"no such mode {mode!r}")
+    return coloring_to_pda(g)

@@ -15,6 +15,7 @@ from pdakit.analytics import (
     binary_entropy,
     block_code_cycle_params,
     block_code_params,
+    check_cycle_length,
     cycle_family_params,
     minimal_x,
     render_csv,
@@ -23,7 +24,7 @@ from pdakit.analytics import (
     stirling_binomial_estimate,
     table_report,
 )
-from pdakit.combinators import CombineError, cycle_product, star_product
+from pdakit.combinators import cycle_product, star_product
 from pdakit.core import params
 from pdakit.families import (
     disjoint_union_coloring,
@@ -185,7 +186,7 @@ _SHARED_RULES = {
         _GRID,
     ),
     "cycle-length": (
-        (lambda m: cycle_product(disjoint_union_coloring(*_CYCLE_BASE), m), CombineError),
+        (lambda m: cycle_product(disjoint_union_coloring(*_CYCLE_BASE), m), ParameterError),
         (lambda m: cycle_family_params(*_CYCLE_BASE, m), ParameterError),
         [(m,) for m in range(-1, 41)],
     ),
@@ -201,6 +202,14 @@ def test_constructions_and_closed_forms_accept_the_same_parameters(rule):
         assert built == _accepts(price, price_error, *point), point
         verdicts.add(built)
     assert verdicts == {True, False}
+
+
+def test_check_cycle_length_accepts_three_and_the_multiples_of_six():
+    accepted = [m for m in range(-12, 61) if _accepts(check_cycle_length, ParameterError, m)]
+    assert accepted == [3, *range(6, 61, 6)]
+    assert not _accepts(check_cycle_length, ParameterError, None)  # `combine` in cycle mode without m
+    with pytest.raises(ParameterError, match="^cycle product supports m = 3 or m divisible by 6, got m=4$"):
+        check_cycle_length(4)
 
 
 def test_block_code_cycle_params_published_row():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import random
 
 import pytest
@@ -53,7 +54,8 @@ def _never_built(*args):
         ("disjoint-union", ["--n", "24", "--a", "12", "--b", "12"], 2_704_156**2),
         ("star", ["--m", "5000000"], 5_000_000),
         ("star", ["--m", str(2**22 + 1)], 2**22 + 1),
-        ("restricted-combined", ["--n", "30", "--a", "6", "--b", "7", "--t", "2"], None),
+        # F = C(30, 5) and K = C(30, 8) C(8, 6), clipped at the cap + 1
+        ("restricted-combined", ["--n", "30", "--a", "6", "--b", "7", "--t", "2"], 597_713_628_330),
         ("intersection-t", ["--n", str(10**12), "--a", str(10**11), "--b", "3", "--t", "1"], None),
     ],
     ids=["disjoint-union-24-12-12", "star-5000000", "star-past-the-cap", "restricted", "huge-n"],
@@ -70,6 +72,22 @@ def test_build_refuses_an_array_over_the_cell_cap_before_building_it(
     assert captured.err.endswith(f" cells (F x K); the cap is {cli.BUILD_CAP_CELLS}\n")
     if cells is not None:
         assert f" at least {cells} cells " in captured.err
+
+
+def test_build_refuses_n_squared_past_the_cap_before_any_binomial(tmp_path, monkeypatch, capsys):
+    # Every legal subset family has F, K >= n, and 2049^2 > 2^22.
+    def no_binomial(*args):
+        raise AssertionError("a binomial was computed")
+
+    monkeypatch.setattr(math, "comb", no_binomial)
+    monkeypatch.setitem(cli.FAMILIES, "intersection-t", cli.FAMILIES["intersection-t"]._replace(build=_never_built))
+    out = tmp_path / "big.pda"
+    argv = ["build", "--family", "intersection-t", "--n", "2049", "--a", "1", "--b", "1", "--t", "0"]
+    assert main([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: family 'intersection-t' builds at least {2049**2} cells (F x K); the cap is {cli.BUILD_CAP_CELLS}\n"
+    )
+    assert not out.exists()
 
 
 def test_build_reports_illegal_parameters_before_their_size(tmp_path, capsys):

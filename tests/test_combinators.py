@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 from pdakit import cli
+from pdakit.analytics import ParameterError, tensor_law
 from pdakit.combinators import (
     CombineError,
+    combine,
     combine_same_colors,
     cycle_product,
     same_colors_claimed_params,
@@ -229,7 +231,7 @@ def test_cycle_product_parameter_law_on_subset_base():
 def test_cycle_product_rejects_unsupported_m():
     g = pda_to_coloring(trivial_pda())
     for m in (2, 4, 5, 9):
-        with pytest.raises(CombineError):
+        with pytest.raises(ParameterError, match=f"^cycle product supports m = 3 or m divisible by 6, got m={m}$"):
             cycle_product(g, m)
 
 
@@ -295,7 +297,7 @@ def tensor_product_lines() -> str:
     lines = []
     for (name1, p1), (name2, p2) in itertools.product(_tensor_bases().items(), repeat=2):
         try:
-            p = coloring_to_pda(cli._combine_graphs(argparse.Namespace(mode="tensor"), [p1, p2]))
+            p = combine("tensor", [p1, p2])
         except NonConstantDegreeError as exc:
             outcome = f"NonConstantDegreeError: {exc}"
         else:
@@ -306,6 +308,88 @@ def tensor_product_lines() -> str:
 
 def test_tensor_products_of_the_bases_match_golden():
     assert tensor_product_lines() == TENSOR_GOLDEN.read_text()
+
+
+def _kfgs(p: PdaArray) -> tuple[int, int, int, int]:
+    pr = params(p)
+    return pr.K, pr.F, pr.g, pr.S
+
+
+def test_tensor_law_matches_the_measured_products_of_the_bases():
+    agreed = refused = 0
+    for p1, p2 in itertools.product(_tensor_bases().values(), repeat=2):
+        try:
+            p = combine("tensor", [p1, p2])
+        except NonConstantDegreeError:
+            refused += 1
+        else:
+            assert _kfgs(p) == tensor_law(_kfgs(p1), _kfgs(p2))
+            agreed += 1
+    assert (agreed, refused) == (24, 12)
+
+
+def _reference_combine(mode: str, arrays: list[PdaArray], m: int | None = None) -> PdaArray:
+    """The command line's combine sequence from before `combinators.combine`:
+    colorings, the operator, the tensor product's general-graph round trip and
+    split, then `coloring_to_pda`."""
+    colorings = [pda_to_coloring(p) for p in arrays]
+    if mode == "same-colors":
+        g = combine_same_colors(*colorings)
+    elif mode == "star":
+        g = star_product(colorings)
+    elif mode == "tensor":
+        g1, g2 = (as_general_graph(c) for c in colorings)
+        product = tensor_product(g1, g2)
+        left = [v for v in product.vertices if v[0][0] == "row"]
+        g = split_bipartite(product, left)
+    else:
+        g = cycle_product(colorings[0], m)
+    return coloring_to_pda(g)
+
+
+def _combine_cases() -> list[tuple[str, list[PdaArray], int | None]]:
+    bases = list(_tensor_bases().values())
+    pairs = [list(pair) for pair in itertools.product(bases, repeat=2)]
+    return [
+        *((mode, pair, None) for mode in ("same-colors", "star", "tensor") for pair in pairs),
+        *(("cycle", [p], m) for m in (3, 6) for p in bases),
+    ]
+
+
+def _outcome(build, *args) -> tuple:
+    try:
+        p = build(*args)
+    except Exception as exc:  # whatever the reference raises, combine must raise too
+        return type(exc), str(exc)
+    return write_pda(p), repr(p.legend)
+
+
+def test_combine_equals_the_reference_sequence_on_the_bases():
+    outcomes = []
+    for mode, arrays, m in _combine_cases():
+        outcome = _outcome(combine, mode, arrays, m)
+        assert outcome == _outcome(_reference_combine, mode, arrays, m), (mode, m)
+        outcomes.append(outcome[0] if isinstance(outcome[0], type) else str)
+    # Both paths are covered: arrays and refusals (color sets, degrees).
+    assert {str, CombineError, NonConstantDegreeError} <= set(outcomes)
+
+
+def test_combine_rejects_an_unknown_mode():
+    with pytest.raises(CombineError, match="^no such mode 'sum'$"):
+        combine("sum", [trivial_pda(), trivial_pda()])
+
+
+def test_combined_cells_are_the_built_shape_on_the_bases():
+    for mode, arrays, m in _combine_cases():
+        try:
+            p = combine(mode, arrays, m)
+        except (CombineError, NonConstantDegreeError):
+            continue
+        cells = cli._combined_cells(argparse.Namespace(mode=mode, m=m), arrays)
+        if mode == "same-colors":  # a bound: its columns are some of the pairs of the inputs' rows
+            assert cells >= p.F * p.K, mode
+        else:
+            assert cells == p.F * p.K, (mode, m)
 
 
 if __name__ == "__main__":

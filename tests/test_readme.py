@@ -1,11 +1,14 @@
-"""README.md's Python example runs as written, and prints what its comments say."""
+"""README.md's examples run as written, and print what their comments say."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from pdakit import cli
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -17,3 +20,21 @@ def test_readme_python_example_runs_and_prints_its_comments():
         exec(compile(example, str(README), "exec"), {})  # its own asserts check the round trip
     promised = re.findall(r"^print\(.*\)\s+# (.*)$", example, re.MULTILINE)
     assert promised and out.getvalue().splitlines() == promised
+
+
+def test_readme_cli_examples_exit_0_and_params_prints_its_comment(tmp_path, monkeypatch):
+    (block,) = re.findall(r"^Examples:\n\n```sh\n(.*?)^```$", README.read_text(), re.MULTILINE | re.DOTALL)
+    monkeypatch.chdir(tmp_path)  # the examples write their files to the working directory
+    checked = 0
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert (program, cli.main(argv)) == ("pdakit", 0), line
+        if argv[0] == "params":
+            # "..." in the comment stands for any text
+            pattern = ".*".join(re.escape(part.strip()) for part in comment.split("..."))
+            assert re.fullmatch(pattern, out.getvalue().strip()), (line, out.getvalue())
+            checked += 1
+    assert checked == 1
