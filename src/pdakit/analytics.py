@@ -61,7 +61,6 @@ class SchemeRow:
     F: Optional[int]
     R: Optional[Fraction]
     f_estimate: Optional[float] = None
-    note: str = ""
     paper_values: tuple[tuple[str, str], ...] = ()
     divergence: tuple[str, ...] = ()
 
@@ -89,8 +88,8 @@ def check_restricted(n: int, a: int, b: int, t: int) -> None:
 
 
 def check_cycle_length(m: int) -> None:
-    """m = 3 (three vertex colors) or a multiple of 6 (two suffice)."""
-    if m != 3 and not (isinstance(m, int) and m >= 6 and m % 6 == 0):
+    """m = 3 (three vertex colors) or a multiple of 6 (two suffice), as an int."""
+    if type(m) is not int or not (m == 3 or m >= 6 and m % 6 == 0):
         raise ParameterError(f"cycle product supports m = 3 or m divisible by 6, got m={m}")
 
 
@@ -99,9 +98,9 @@ def check_cycle_length(m: int) -> None:
 KFgS = tuple[int, int, int, int]
 
 
-def _row(label: str, kfgs: KFgS, note: str = "") -> SchemeRow:
+def _row(label: str, kfgs: KFgS) -> SchemeRow:
     k, f, g, s = kfgs
-    return SchemeRow(label=label, K=k, one_minus_MN=Fraction(g, f), F=f, R=Fraction(s, f), note=note)
+    return SchemeRow(label=label, K=k, one_minus_MN=Fraction(g, f), F=f, R=Fraction(s, f))
 
 
 def star_law(*factors: KFgS) -> KFgS:
@@ -186,9 +185,6 @@ def minimal_x(n: int, l: int) -> int:
     return (l + 1) // math.gcd(n, l + 1)
 
 
-_BLOCK_CODE_NOTE = "K = n*q inferred from the published comparison rows"
-
-
 def _block_code(n: int, q: int, l: int) -> tuple[str, KFgS]:
     """The scheme's label (n,q,l,x) and its (K, F, g, S), with x = minimal_x(n, l)."""
     if n < 1 or l < 1:
@@ -205,18 +201,18 @@ def block_code_params(n: int, q: int, l: int) -> SchemeRow:
 
     F = (q-1) q^l x n / (l+1),  S = x q^l,  g = x (q-1) q^(l-1),
     M/N = 1 - (l+1)/(nq),  R = (l+1)/((q-1) n).  K = nq, inferred from the
-    published comparison rows (marked in the note).  x is the least positive
-    integer with (l+1) | nx, computed from n and l and printed in the label.
-    Only the arithmetic is implemented, so n > l is not required here; the
-    published cycle-transform rows themselves use n < l.
+    published comparison rows.  x is the least positive integer with
+    (l+1) | nx, computed from n and l and printed in the label.  Only the
+    arithmetic is implemented, so n > l is not required here; the published
+    cycle-transform rows themselves use n < l.
     """
-    return _row(*_block_code(n, q, l), note=_BLOCK_CODE_NOTE)
+    return _row(*_block_code(n, q, l))
 
 
 def block_code_cycle_params(n: int, q: int, l: int, m: int) -> SchemeRow:
     """The block-code family under the cycle product's law (``cycle_law``)."""
     label, kfgs = _block_code(n, q, l)
-    return _row(f"{label} m={m}", cycle_law(kfgs, m), note=_BLOCK_CODE_NOTE)
+    return _row(f"{label} m={m}", cycle_law(kfgs, m))
 
 
 _COLUMNS = ("K", "one_minus_MN", "F", "R")
@@ -250,34 +246,32 @@ def _compare(row: SchemeRow, printed: tuple[str, ...], printed_label: Optional[s
 
 def _baseline(label: str, *printed: str) -> SchemeRow:
     k, one_minus, f, r = (_printed(text) for text in printed)
-    row = SchemeRow(
-        label=label, K=int(k), one_minus_MN=one_minus, F=int(f), R=r,
-        note="published baseline scheme; F printed from a Stirling estimate",
-    )
+    # a published baseline scheme; its F is printed from a Stirling estimate
+    row = SchemeRow(label=label, K=int(k), one_minus_MN=one_minus, F=int(f), R=r)
     shown = tuple((col, str(getattr(row, col))) for col in _COLUMNS)
     return replace(row, paper_values=shown, divergence=("not-recomputed",))
 
 
-def _at_n(closed: Callable[[int], SchemeRow], note: str, *printed: tuple[str, ...]) -> list[SchemeRow]:
-    """A closed form at n = 10, 12, 14, labelled ``n=<n>``, with its note."""
+def _at_n(closed: Callable[[int], SchemeRow], *printed: tuple[str, ...]) -> list[SchemeRow]:
+    """A closed form at n = 10, 12, 14, labelled ``n=<n>``."""
     return [
-        _compare(replace(closed(n), label=f"n={n}", note=note), values)
+        _compare(replace(closed(n), label=f"n={n}"), values)
         for n, values in zip((10, 12, 14), printed)
     ]
 
 
 def _table_v() -> list[SchemeRow]:
-    note = "printed F is a Stirling estimate; printed 1-M/N the large-n asymptote"
-
+    # printed F is a Stirling estimate; printed 1-M/N the large-n asymptote
     def closed(a: int) -> SchemeRow:
         n = 2 * a
         return replace(
             star_intersection_params(n, a, 2, 1, n, a, 2, 1),
-            label=f"a={a}", f_estimate=stirling_binomial_estimate(n, a) ** 2, note=note,
+            label=f"a={a}", f_estimate=stirling_binomial_estimate(n, a) ** 2,
         )
 
-    # a = 4.5 with n = 9: K = C(9,2)^2, R = (n-a)^2, and 1-M/N = (9/16)^2
-    # survive gamma-function cancellation; F itself indexes no integral scheme.
+    # a = 4.5 with n = 9 is non-integral: K = C(9,2)^2, R = (n-a)^2 and
+    # 1-M/N = (9/16)^2 survive gamma-function cancellation; F does not, and
+    # indexes no integral scheme.
     half = SchemeRow(
         label="a=4.5",
         K=math.comb(9, 2) ** 2,
@@ -285,7 +279,6 @@ def _table_v() -> list[SchemeRow]:
         F=None,
         R=Fraction(81, 4),
         f_estimate=stirling_binomial_estimate(9, 4.5) ** 2,
-        note="a=4.5 is non-integral: K and R survive cancellation, F does not",
     )
     return [
         _compare(closed(4), ("784", "1/4", "5215", "16")),
@@ -303,9 +296,9 @@ _TABLES: dict[str, Callable[[], list[SchemeRow]]] = {
         _baseline("n~2*sqrt(66)", "132", "1/4", "15406", "1"),
         _baseline("n~2*sqrt(91)", "182", "1/4", "101147", "1"),
     ],
+    # printed 1-M/N is the large-b asymptote ((lambda-1)/lambda)^2 = 1/4
     "III": lambda: _at_n(
         lambda n: restricted_family_params(n, 1, n // 2, 1),
-        "printed 1-M/N is the large-b asymptote ((lambda-1)/lambda)^2 = 1/4",
         ("90", "1/4", "210", "5"),
         ("132", "1/4", "792", "7"),
         ("182", "1/4", "3003", "8"),
@@ -321,19 +314,21 @@ _TABLES: dict[str, Callable[[], list[SchemeRow]]] = {
         _baseline("n~sqrt(792)", "396", "1/4", "44564986", "1"),
         _baseline("n~sqrt(1092)", "546", "1/4", "1230404836", "1"),
     ],
+    # printed F and R do not follow from the scheme's own closed forms
     "VII": lambda: _at_n(
         lambda n: cycle_family_params(n, n // 2, 2, 6),
-        "printed F and R do not follow from the scheme's own closed forms",
         ("270", "1/4", "703", "7.77"),
         ("396", "1/4", "2152", "7.77"),
         ("546", "1/4", "6679", "7.77"),
     ),
-    # row 2 prints x=4, which is not minimal; the minimal x=3 reproduces F=2^46
+    # K = n*q is inferred from the published comparison rows.  Row 2 prints
+    # x=4, which is not minimal; the minimal x=3 reproduces F=2^46.
     "VIII": lambda: [
         _compare(block_code_params(24, 2, 17), ("48", "3/8", "2^19", "3/4"), "(24,2,17,3)"),
         _compare(block_code_params(60, 2, 44), ("120", "3/8", "2^46", "3/4"), "(60,2,44,4)"),
         _compare(block_code_params(96, 2, 71), ("192", "3/8", "2^73", "3/4"), "(96,2,71,3)"),
     ],
+    # K = n*q as in VIII, under the cycle law
     "IX": lambda: [
         _compare(block_code_cycle_params(4, 2, 5, 6), ("48", "3/8", "3*2^7", "2")),
         _compare(block_code_cycle_params(10, 2, 14, 6), ("120", "3/8", "3*2^16", "2")),

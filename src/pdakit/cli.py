@@ -165,34 +165,14 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _combined_cells(args, arrays: list[PdaArray]) -> int:
-    """After the mode's usage checks, F x K of the combination from its operator's
-    law, or for same-colors a bound: its rows are the first input's columns, and
-    its columns some pairs of the two inputs' rows."""
-    if args.mode in ("same-colors", "star") and len(arrays) < 2:
-        raise UsageError(f"{args.mode} needs at least two input files")
-    if args.mode in ("same-colors", "tensor") and len(arrays) != 2:
-        raise UsageError(f"{args.mode} takes exactly two input files")
-    if args.mode == "cycle" and len(arrays) != 1:
-        raise UsageError("cycle takes exactly one input file")
-    if args.mode == "cycle" and args.m is None:
-        raise UsageError("cycle requires --m")
-    if args.mode == "same-colors":
-        return arrays[0].K * arrays[0].F * arrays[1].F
-    kfgs = [(r.K, r.F, r.g, r.S) for r in map(params, arrays)]
-    if args.mode == "cycle":
-        k, f, _, _ = analytics.cycle_law(kfgs[0], args.m)
-    else:
-        k, f, _, _ = (analytics.star_law if args.mode == "star" else analytics.tensor_law)(*kfgs)
-    return f * k
-
-
 def _cmd_combine(args) -> int:
     arrays = [_load(f) for f in args.files]
     for path, p in zip(args.files, arrays):
         if not validate(p).is_valid:
             raise InvalidPdaError(f"{path} is not a valid PDA")
-    cells = _combined_cells(args, arrays)
+    if args.mode == "cycle" and args.m is None:
+        raise UsageError("cycle requires --m")
+    cells = combinators.combined_cells(args.mode, arrays, args.m)
     if cells > BUILD_CAP_CELLS:
         raise UsageError(f"mode {args.mode!r} builds up to {cells} cells (F x K); "
                          f"the cap is {BUILD_CAP_CELLS}")
@@ -252,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_cmd_params)
 
     c = sub.add_parser("combine", help="apply a composition operator to array files")
-    c.add_argument("--mode", required=True, choices=["same-colors", "star", "tensor", "cycle"])
+    c.add_argument("--mode", required=True, choices=combinators.MODES)
     c.add_argument("--m", type=int, help="cycle length for --mode cycle")
     c.add_argument("files", nargs="+")
     c.add_argument("-o", "--output", required=True)
@@ -296,9 +276,6 @@ def main(argv=None) -> int:
     except (PdaError, graphs.GraphError, combinators.CombineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except scheme.DecodingError as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ from __future__ import annotations
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
-from .analytics import check_cycle_length
-from .core import PdaArray
+from .analytics import ParameterError, check_cycle_length, cycle_law, star_law, tensor_law
+from .core import PdaArray, params
 from .graphs import (
     ColoredBipartiteGraph,
     ColoredGraph,
@@ -34,6 +34,9 @@ from .graphs import (
 
 class CombineError(ValueError):
     """Inputs rejected by a composition operator."""
+
+
+MODES = ("same-colors", "star", "tensor", "cycle")  # as ``pdakit combine --mode`` offers them
 
 
 def combine_same_colors(
@@ -168,10 +171,36 @@ def cycle_product(base: ColoredBipartiteGraph, m: int) -> ColoredBipartiteGraph:
     return ColoredBipartiteGraph(left, right, triples)
 
 
+def _check_inputs(mode: str, arrays: Sequence[PdaArray]) -> None:
+    """Refuse an unknown mode, or a number of arrays the mode does not take."""
+    if mode not in MODES:
+        raise CombineError(f"no such mode {mode!r}")
+    if mode in ("same-colors", "star") and len(arrays) < 2:
+        raise ParameterError(f"{mode} needs at least two input files")
+    if mode in ("same-colors", "tensor") and len(arrays) != 2:
+        raise ParameterError(f"{mode} takes exactly two input files")
+    if mode == "cycle" and len(arrays) != 1:
+        raise ParameterError("cycle takes exactly one input file")
+
+
+def combined_cells(mode: str, arrays: Sequence[PdaArray], m: Optional[int] = None) -> int:
+    """F x K of ``combine(mode, arrays, m)`` from its operator's law, or for
+    same-colors a bound: its rows are the first input's columns, and its
+    columns some pairs of the two inputs' rows."""
+    _check_inputs(mode, arrays)
+    if mode == "same-colors":
+        return arrays[0].K * arrays[0].F * arrays[1].F
+    kfgs = [(r.K, r.F, r.g, r.S) for r in map(params, arrays)]
+    law = {"star": star_law, "tensor": tensor_law, "cycle": lambda base: cycle_law(base, m)}[mode]
+    k, f, _, _ = law(*kfgs)
+    return f * k
+
+
 def combine(mode: str, arrays: Sequence[PdaArray], m: Optional[int] = None) -> PdaArray:
     """The array ``pdakit combine --mode <mode>`` writes: the operator on the
     arrays' colorings, converted back.  "same-colors" and "tensor" take two
     arrays, "star" two or more, and "cycle" one and the cycle length m."""
+    _check_inputs(mode, arrays)
     colorings = [pda_to_coloring(p) for p in arrays]
     if mode == "same-colors":
         g = combine_same_colors(*colorings)
@@ -180,8 +209,6 @@ def combine(mode: str, arrays: Sequence[PdaArray], m: Optional[int] = None) -> P
     elif mode == "tensor":
         product = tensor_product(*(as_general_graph(c) for c in colorings))
         g = split_bipartite(product, [v for v in product.vertices if v[0][0] == "row"])
-    elif mode == "cycle":
-        g = cycle_product(colorings[0], m)
     else:
-        raise CombineError(f"no such mode {mode!r}")
+        g = cycle_product(colorings[0], m)
     return coloring_to_pda(g)

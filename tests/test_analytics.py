@@ -137,7 +137,6 @@ def test_block_code_params_published_row():
     assert row.R == Fraction(3, 4)
     assert row.one_minus_MN == Fraction(3, 8)
     assert row.K == 48
-    assert "inferred" in row.note
 
 
 def test_block_code_params_validates_x_and_q():
@@ -208,6 +207,8 @@ def test_check_cycle_length_accepts_three_and_the_multiples_of_six():
     accepted = [m for m in range(-12, 61) if _accepts(check_cycle_length, ParameterError, m)]
     assert accepted == [3, *range(6, 61, 6)]
     assert not _accepts(check_cycle_length, ParameterError, None)  # `combine` in cycle mode without m
+    for m in (3.0, 6.0, True, "6"):  # only an exact int, so the cycle law's K and F stay ints
+        assert not _accepts(check_cycle_length, ParameterError, m), m
     with pytest.raises(ParameterError, match="^cycle product supports m = 3 or m divisible by 6, got m=4$"):
         check_cycle_length(4)
 

@@ -44,6 +44,7 @@ SESSION = [
     "combine --mode tensor strip.pda sc.pda -o te2.pda",
     "combine --mode tensor trivial.pda star.pda -o te3.pda",
     "combine --mode tensor trivial.pda -o te1.pda",
+    "combine --mode tensor trivial.pda trivial.pda trivial.pda -o te3f.pda",
     "combine --mode cycle --m 3 trivial.pda -o cy.pda",
     "combine --mode cycle trivial.pda -o cy1.pda",
     "combine --mode cycle --m 4 trivial.pda -o cy4.pda",

@@ -6,18 +6,18 @@ review the diff.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import itertools
 from pathlib import Path
 
 import pytest
 
-from pdakit import cli
 from pdakit.analytics import ParameterError, tensor_law
 from pdakit.combinators import (
+    MODES,
     CombineError,
     combine,
+    combined_cells,
     combine_same_colors,
     cycle_product,
     same_colors_claimed_params,
@@ -379,13 +379,36 @@ def test_combine_rejects_an_unknown_mode():
         combine("sum", [trivial_pda(), trivial_pda()])
 
 
+# What each mode does with 0 to 3 arrays: None where it builds, else the refusal.
+_COUNT_REFUSALS = {
+    "same-colors": ["same-colors needs at least two input files"] * 2
+    + [None, "same-colors takes exactly two input files"],
+    "star": ["star needs at least two input files"] * 2 + [None, None],
+    "tensor": ["tensor takes exactly two input files"] * 2 + [None, "tensor takes exactly two input files"],
+    "cycle": ["cycle takes exactly one input file", None] + ["cycle takes exactly one input file"] * 2,
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("count", range(4))
+def test_combine_checks_the_number_of_arrays_before_building(mode, count):
+    arrays = [trivial_pda()] * count
+    refusal = _COUNT_REFUSALS[mode][count]
+    for call in (combine, combined_cells):
+        if refusal is None:
+            call(mode, arrays, 6)
+        else:
+            with pytest.raises(ParameterError, match=f"^{refusal}$"):
+                call(mode, arrays, 6)
+
+
 def test_combined_cells_are_the_built_shape_on_the_bases():
     for mode, arrays, m in _combine_cases():
         try:
             p = combine(mode, arrays, m)
         except (CombineError, NonConstantDegreeError):
             continue
-        cells = cli._combined_cells(argparse.Namespace(mode=mode, m=m), arrays)
+        cells = combined_cells(mode, arrays, m)
         if mode == "same-colors":  # a bound: its columns are some of the pairs of the inputs' rows
             assert cells >= p.F * p.K, mode
         else:
