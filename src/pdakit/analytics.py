@@ -127,9 +127,9 @@ def tensor_law(first: KFgS, second: KFgS) -> KFgS:
 
 
 def disjoint_union_kfgs(n: int, a: int, b: int) -> KFgS:
-    """K = C(n,b),  F = C(n,a),  g = C(n-b,a),  S = C(n,a+b)."""
+    """The intersection-size law at t = 0: K = C(n,b),  F = C(n,a),  g = C(n-b,a),  S = C(n,a+b)."""
     check_disjoint_union(n, a, b)
-    return math.comb(n, b), math.comb(n, a), math.comb(n - b, a), math.comb(n, a + b)
+    return intersection_t_kfgs(n, a, b, 0)
 
 
 def intersection_t_kfgs(n: int, a: int, b: int, t: int) -> KFgS:

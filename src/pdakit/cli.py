@@ -1,7 +1,8 @@
 """Command-line front end: build, validate, combine, simulate, and report.
 
 Exit codes: 0 success, 1 invalid, unreadable or incompatible array file,
-2 usage error or unwritable output path, 3 internal invariant breach.
+2 usage error or unwritable output path, 3 internal invariant breach;
+``equiv`` returns 1 for inequivalent arrays and 2 when its search budget runs out.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ FAMILIES = {
     "restricted-combined": Family(("n", "a", "b", "t"), families.restricted_combined_family,
                                   _subset_cells(analytics.check_restricted, analytics.restricted_kfgs)),
     "trivial": Family((), families.trivial_pda, lambda: 4),
-    "star": Family(("m",), families.star_graph_coloring, lambda m: m),
+    "star": Family(("m",), families.star_pda, lambda m: m),
 }
 
 
@@ -135,9 +136,9 @@ def _demands_for(p: PdaArray, args) -> Iterable[tuple[int, ...]]:
             return [tuple(int(tok) for tok in args.demand.split(","))]
         except ValueError as exc:  # a token longer than int() converts
             raise UsageError(f"bad --demand {args.demand!r}: {exc}") from exc
-    if args.exhaustive or args.files**p.K <= 4096:
+    if args.exhaustive or args.files == 1 or (p.K <= 12 and args.files**p.K <= 4096):  # N^K <= 4096 (2^13 > 4096)
         return scheme.exhaustive_demands(args.files, p.K)
-    return scheme.random_demands(args.files, p.K, 200, args.seed)
+    return scheme.iter_random_demands(args.files, p.K, 200, args.seed)
 
 
 def _cmd_simulate(args) -> int:

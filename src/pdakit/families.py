@@ -11,7 +11,7 @@ from math import comb
 
 from .analytics import ParameterError, check_disjoint_union, check_intersection_t, check_restricted
 from .core import InvalidPdaError, PdaArray, validate
-from .graphs import ColoredBipartiteGraph
+from .graphs import ColoredBipartiteGraph, pda_to_coloring
 
 SubsetLabel = tuple[int, ...]
 
@@ -25,42 +25,33 @@ def _mask(s: SubsetLabel) -> int:
     return sum(map((1).__lshift__, s))  # element x at bit x
 
 
-def disjoint_union_coloring(n: int, a: int, b: int) -> ColoredBipartiteGraph:
-    """Rows a-subsets, columns b-subsets, edge iff disjoint, color = union.
-
-    Built per edge: the columns meeting A are the b-subsets of A's complement
-    (checked against the per-cell scan by
-    test_disjoint_union_per_edge_build_equals_the_per_cell_scan).
-    """
-    check_disjoint_union(n, a, b)
-    left = subsets(n, a)
-    triples = []
-    for A in left:
-        rest = [x for x in range(1, n + 1) if x not in A]
-        triples.extend((A, B, tuple(sorted(A + B))) for B in combinations(rest, b))
-    return ColoredBipartiteGraph(left, subsets(n, b), frozenset(triples))
-
-
-def intersection_t_coloring(n: int, a: int, b: int, t: int) -> ColoredBipartiteGraph:
-    """Rows a-subsets, columns b-subsets, edge iff the intersection has size t.
-
-    The color of an edge (A, B) is the pair (symmetric difference, A intersect B),
-    so every column vertex has degree C(b, t) * C(n - b, a - t).  Built per
-    edge: each B meeting A in t elements is a t-subset T of A joined with a
-    (b - t)-subset W of A's complement, and then the symmetric difference is
-    (A minus T) u W (checked against the per-cell scan by
-    test_intersection_t_per_edge_build_equals_the_per_cell_scan).
-    """
-    check_intersection_t(n, a, b, t)
-    left = subsets(n, a)
-    triples = []
-    for A in left:
+def _intersection_edges(n: int, a: int, b: int, t: int):
+    """(A, B, symmetric difference, A intersect B) for each a-subset A and each b-subset B
+    meeting it in t elements: B is a t-subset T of A joined with a (b - t)-subset W of A's
+    complement, so the symmetric difference is (A minus T) u W (references:
+    test_*_per_edge_build_equals_the_per_cell_scan)."""
+    for A in subsets(n, a):
         rest = [x for x in range(1, n + 1) if x not in A]
         for T in combinations(A, t):
             only_a = tuple(x for x in A if x not in T)
             for W in combinations(rest, b - t):
-                triples.append((A, tuple(sorted(T + W)), (tuple(sorted(only_a + W)), T)))
-    return ColoredBipartiteGraph(left, subsets(n, b), frozenset(triples))
+                yield A, tuple(sorted(T + W)), tuple(sorted(only_a + W)), T
+
+
+def disjoint_union_coloring(n: int, a: int, b: int) -> ColoredBipartiteGraph:
+    """Rows a-subsets, columns b-subsets, edge iff disjoint, color = union: the
+    intersection-size coloring at t = 0, each color (A u B, ()) named A u B."""
+    check_disjoint_union(n, a, b)
+    triples = frozenset((A, B, union) for A, B, union, _ in _intersection_edges(n, a, b, 0))
+    return ColoredBipartiteGraph(subsets(n, a), subsets(n, b), triples)
+
+
+def intersection_t_coloring(n: int, a: int, b: int, t: int) -> ColoredBipartiteGraph:
+    """Rows a-subsets, columns b-subsets, edge iff the intersection has size t, colored
+    (symmetric difference, A intersect B); every column has degree C(b, t) C(n - b, a - t)."""
+    check_intersection_t(n, a, b, t)
+    triples = frozenset((A, B, (diff, T)) for A, B, diff, T in _intersection_edges(n, a, b, t))
+    return ColoredBipartiteGraph(subsets(n, a), subsets(n, b), triples)
 
 
 def restricted_combined_family(n: int, a: int, b: int, t: int) -> PdaArray:
@@ -101,11 +92,13 @@ def trivial_pda() -> PdaArray:
     return PdaArray([[None, 1], [1, None]])
 
 
-def star_graph_coloring(m: int) -> ColoredBipartiteGraph:
-    """K_{1,m} with every edge its own color (any strong coloring must do this)."""
+def star_pda(m: int) -> PdaArray:
+    """The 1 x m array with every cell its own color: K_{1,m}'s coloring."""
     if m < 1:
         raise ParameterError(f"need m >= 1, got m={m}")
-    left: tuple = (1,)
-    right = tuple(f"{i}'" for i in range(1, m + 1))
-    triples = frozenset((1, right[i], i + 1) for i in range(m))
-    return ColoredBipartiteGraph(left, right, triples)
+    return PdaArray([list(range(1, m + 1))])
+
+
+def star_graph_coloring(m: int) -> ColoredBipartiteGraph:
+    """K_{1,m} with every edge its own color (any strong coloring must do this)."""
+    return pda_to_coloring(star_pda(m))

@@ -253,7 +253,12 @@ def exhaustive_demands(n_files: int, users: int) -> Iterator[tuple[int, ...]]:
     return iproduct(range(1, n_files + 1), repeat=users)
 
 
+def iter_random_demands(n_files: int, users: int, count: int, seed: int) -> Iterator[tuple[int, ...]]:
+    """``random_demands``, drawn one demand vector at a time."""
+    rng = random.Random(seed)
+    return (tuple(rng.randint(1, n_files) for _ in range(users)) for _ in range(count))
+
+
 def random_demands(n_files: int, users: int, count: int, seed: int) -> list[tuple[int, ...]]:
     """Deterministic sample of demand vectors from a seed."""
-    rng = random.Random(seed)
-    return [tuple(rng.randint(1, n_files) for _ in range(users)) for _ in range(count)]
+    return list(iter_random_demands(n_files, users, count, seed))

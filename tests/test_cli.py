@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import itertools
 import math
 import random
 
@@ -337,6 +339,36 @@ def test_simulate_seeded_sample_when_space_is_large(ex1_file, capsys):
     assert main(["simulate", ex1_file, "--files", "9", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert out.count(": pass") == 200  # 9^4 > 4096, so the seeded sample runs
+
+
+def test_simulate_runs_every_demand_exactly_when_there_are_at_most_4096(monkeypatch):
+    monkeypatch.setattr(scheme, "exhaustive_demands", lambda n_files, users: "exhaustive")
+    monkeypatch.setattr(scheme, "iter_random_demands", lambda n_files, users, count, seed: "random")
+    args = argparse.Namespace(demand=None, exhaustive=False, seed=0)
+    cases = [(n, k, n**k <= 4096) for n, k in itertools.product(range(1, 71), range(1, 21))]
+    # a 1 x 2^22 array, where N^K would take seconds to compute at N = 24966
+    for n_files, users, exhaustive in [*cases, (1, 2**22, True), (24966, 2**22, False)]:
+        args.files = n_files
+        chosen = cli._demands_for(argparse.Namespace(K=users), args)
+        assert chosen == ("exhaustive" if exhaustive else "random"), (n_files, users)
+
+
+def test_simulate_draws_the_seeded_sample_one_demand_at_a_time(ex1_file, monkeypatch, capsys):
+    real_roundtrip, drawn = scheme.verify_roundtrip, []
+
+    def noting_roundtrip(p, lib, demand):
+        drawn.append(demand)
+        return real_roundtrip(p, lib, demand)
+
+    monkeypatch.setattr(scheme, "verify_roundtrip", noting_roundtrip)
+    monkeypatch.setattr(scheme, "random_demands", None)  # the CLI never builds the list
+    assert main(["simulate", ex1_file, "--files", "9", "--seed", "5"]) == 0
+    monkeypatch.undo()
+    expected = scheme.random_demands(9, 4, 200, 5)
+    assert drawn == expected
+    # The text the list-building CLI printed, byte for byte.
+    lines = [f"demand {','.join(map(str, d))}: pass\n" for d in expected]
+    assert capsys.readouterr().out == "".join(lines) + "200/200 demands decoded; broadcasts per demand: 4; rate R=1\n"
 
 
 def test_simulate_rejects_invalid_array(tmp_path):

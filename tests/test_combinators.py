@@ -6,13 +6,16 @@ review the diff.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdakit.analytics import ParameterError, tensor_law
+from pdakit.analytics import ParameterError, cycle_law, star_law, tensor_law
 from pdakit.combinators import (
     MODES,
     CombineError,
@@ -25,7 +28,13 @@ from pdakit.combinators import (
     tensor_product,
 )
 from pdakit.core import EquivalenceResult, PdaArray, equivalent, params, read_pda, validate, write_pda
-from pdakit.families import disjoint_union_coloring, intersection_t_coloring, star_graph_coloring, trivial_pda
+from pdakit.families import (
+    disjoint_union_coloring,
+    intersection_t_coloring,
+    restricted_combined_family,
+    star_graph_coloring,
+    trivial_pda,
+)
 from pdakit.graphs import (
     ColoredBipartiteGraph,
     ColoredGraph,
@@ -37,6 +46,7 @@ from pdakit.graphs import (
     pda_to_coloring,
     split_bipartite,
 )
+from pdakit.scheme import FileLibrary, random_demands, verify_roundtrip
 
 
 def test_combine_strips_reproduces_published_triple_system(strip):
@@ -413,6 +423,71 @@ def test_combined_cells_are_the_built_shape_on_the_bases():
             assert cells >= p.F * p.K, mode
         else:
             assert cells == p.F * p.K, (mode, m)
+
+
+# Nested products: trees of star, tensor and cycle nodes over the six bases and
+# a restricted family, up to depth 3, built bottom up under a cell cap.
+NESTED_CAP_CELLS = 40_000
+
+
+@functools.cache
+def _nested_leaves() -> dict[str, PdaArray]:
+    return {**_tensor_bases(), "restricted(4,1,2,1)": restricted_combined_family(4, 1, 2, 1)}
+
+
+def _trees(depth: int):
+    """A leaf name, or (mode, child, child) for star and tensor, or ("cycle", child, m)."""
+    leaf = st.sampled_from(sorted(_nested_leaves()))
+    if depth == 0:
+        return leaf
+    sub = _trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from(("star", "tensor")), sub, sub),
+        st.tuples(st.just("cycle"), sub, st.sampled_from((3, 6))),
+    )
+
+
+def _build_nested(tree) -> tuple[PdaArray, tuple[int, int, int, int]]:
+    """The tree's array and its (K, F, g, S) composed from the leaves' by the
+    operators' laws.  A node is built only when ``combined_cells`` puts it
+    under the cap and, for tensor, the degree rule lets it have an array form;
+    otherwise its first child stands in its place."""
+    if isinstance(tree, str):
+        p = _nested_leaves()[tree]
+        return p, _kfgs(p)
+    mode, first, second = tree
+    children = [_build_nested(first)] + ([] if mode == "cycle" else [_build_nested(second)])
+    arrays, laws = [p for p, _ in children], [law for _, law in children]
+    m = second if mode == "cycle" else None
+    cells = combined_cells(mode, arrays, m)
+    if cells > NESTED_CAP_CELLS:
+        return children[0]
+    law = {"star": star_law, "tensor": tensor_law}[mode](*laws) if m is None else cycle_law(laws[0], m)
+    if mode == "tensor":
+        # The tensor product's column degrees are constant exactly when g1 = 0
+        # or every row of the second factor holds g2 colored cells.
+        g1, g2 = laws[0][2], laws[1][2]
+        if g1 != 0 and any(len(row) - row.count(None) != g2 for row in arrays[1].grid):
+            with pytest.raises(NonConstantDegreeError):
+                combine(mode, arrays)
+            return children[0]
+    p = combine(mode, arrays, m)
+    assert cells == p.F * p.K, tree
+    assert _kfgs(p) == law, tree
+    return p, law
+
+
+@given(tree=_trees(3), seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_nested_products_follow_the_composed_laws(tree, seed):
+    p, law = _build_nested(tree)
+    assert _kfgs(p) == law
+    assert validate(p).is_valid
+    assert is_strong_coloring(pda_to_coloring(p)).is_valid
+    assert read_pda(write_pda(p)) == p
+    lib = FileLibrary.for_array(p, 3, seed)
+    assert verify_roundtrip(p, lib, random_demands(3, p.K, 1, seed)[0])
 
 
 if __name__ == "__main__":

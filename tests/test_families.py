@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import re
 from itertools import combinations
 from math import comb
 
 import pytest
 
 from pdakit import families
-from pdakit.analytics import ParameterError
+from pdakit.analytics import (
+    ParameterError,
+    check_disjoint_union,
+    check_intersection_t,
+    disjoint_union_kfgs,
+    intersection_t_kfgs,
+)
 from pdakit.combinators import combine_same_colors
 from pdakit.core import EquivalenceResult, InvalidPdaError, ValidationReport, Violation, equivalent, params, validate
 from pdakit.families import (
@@ -14,6 +21,7 @@ from pdakit.families import (
     intersection_t_coloring,
     restricted_combined_family,
     star_graph_coloring,
+    star_pda,
     subsets,
     trivial_pda,
 )
@@ -287,6 +295,77 @@ def test_star_graph_three_leaves():
     p = coloring_to_pda(star_graph_coloring(3))
     assert p.F == 1 and p.K == 3 and p.S == 3
     assert set(p.grid[0]) == {1, 2, 3}
+
+
+def _hand_built_star(m: int) -> ColoredBipartiteGraph:
+    """K_{1,m} built edge by edge: row 1, columns 1'..m', edge i colored i."""
+    left: tuple = (1,)
+    right = tuple(f"{i}'" for i in range(1, m + 1))
+    triples = frozenset((1, right[i], i + 1) for i in range(m))
+    return ColoredBipartiteGraph(left, right, triples)
+
+
+def test_star_family_is_the_coloring_of_its_one_row_array():
+    for m in range(1, 65):
+        reference = _hand_built_star(m)
+        assert star_graph_coloring(m) == reference, m
+        p, expected = star_pda(m), coloring_to_pda(reference)
+        assert p == expected and p.legend is None and expected.legend is None, m
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_star_family_rejects_m_below_one(m):
+    for build in (star_pda, star_graph_coloring):
+        with pytest.raises(ParameterError, match=rf"^need m >= 1, got m={m}$"):
+            build(m)
+
+
+def _legal(check, *args) -> bool:
+    try:
+        check(*args)
+    except ParameterError:
+        return False
+    return True
+
+
+def test_disjoint_union_is_the_intersection_size_coloring_at_t_zero():
+    legal = 0
+    for n in range(2, 10):
+        for a in range(1, n):
+            for b in range(1, n - a + 1):
+                at_zero = intersection_t_coloring(n, a, b, 0)
+                renamed = frozenset((A, B, union) for A, B, (union, inter) in at_zero.triples if inter == ())
+                assert len(renamed) == len(at_zero.triples), (n, a, b)
+                g = disjoint_union_coloring(n, a, b)
+                assert g == ColoredBipartiteGraph(at_zero.left, at_zero.right, renamed), (n, a, b)
+                assert disjoint_union_kfgs(n, a, b) == intersection_t_kfgs(n, a, b, 0), (n, a, b)
+                legal += 1
+    assert legal == 120
+
+
+def test_disjoint_union_accepts_exactly_the_intersection_size_range_at_t_zero():
+    accepted = 0
+    for n in range(10):
+        for a in range(-1, 11):
+            for b in range(-1, 11):
+                legal = _legal(check_disjoint_union, n, a, b)
+                assert legal == _legal(check_intersection_t, n, a, b, 0), (n, a, b)
+                accepted += legal
+                if legal:
+                    continue
+                # each refuses with its own message, the coloring and its law with the check's
+                own = f"need a, b >= 1 and a + b <= n, got n={n} a={a} b={b}"
+                for build in (check_disjoint_union, disjoint_union_coloring, disjoint_union_kfgs):
+                    with pytest.raises(ParameterError, match=f"^{re.escape(own)}$"):
+                        build(n, a, b)
+                if 0 < a < n and 0 < b < n:
+                    other = "need 0 <= t <= min(a, b) and a + b - t <= n, got t=0"
+                else:
+                    other = f"need 0 < a, b < n, got n={n} a={a} b={b}"
+                for build in (check_intersection_t, intersection_t_coloring, intersection_t_kfgs):
+                    with pytest.raises(ParameterError, match=f"^{re.escape(other)}$"):
+                        build(n, a, b, 0)
+    assert accepted == 120
 
 
 def test_every_family_output_is_strong_and_valid_sweep():
