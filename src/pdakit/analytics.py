@@ -104,26 +104,31 @@ def _row(label: str, kfgs: KFgS) -> SchemeRow:
 
 
 def star_law(*factors: KFgS) -> KFgS:
-    """The star product multiplies each of K, F, g and S across its factors."""
+    """The star product multiplies each of K, F, g and S across its factors.
+    A column's degree is the product of its coordinates' degrees, so the
+    product has an array form when every factor has constant column degree."""
     return tuple(math.prod(column) for column in zip(*factors))
 
 
 def cycle_law(base: KFgS, m: int) -> KFgS:
-    """The cycle product with C_m: (K, F, g, S) -> (mK, mF, 3g, 8S), 9S when m = 3.
-
-    S counts one group per vertex color and per oriented copy of the 3 edge colors.
-    """
+    """The cycle product is the star product with S_m, the m x m array of the
+    cycle's 3m steps: (m, m, 3, 9 if m == 3 else 8).  So (K, F, g, S) ->
+    (mK, mF, 3g, 8S), 9S when m = 3; S_m's S counts one group per vertex color
+    and per oriented copy of the 3 edge colors."""
     check_cycle_length(m)
-    k, f, g, s = base
-    return m * k, m * f, 3 * g, (9 if m == 3 else 8) * s
+    return star_law((m, m, 3, 9 if m == 3 else 8), base)
 
 
 def tensor_law(first: KFgS, second: KFgS) -> KFgS:
-    """The tensor product: (K1 V2, F1 V2, g1 g2, S1 S2), V2 = K2 + F2.  Its column
-    degrees are constant only when every row of the second factor, too, holds g2
-    colored cells; otherwise it has no array form."""
-    (k1, f1, g1, s1), (k2, f2, g2, s2) = first, second
-    return k1 * (k2 + f2), f1 * (k2 + f2), g1 * g2, s1 * s2
+    """The tensor product is the star product of the first factor, rows and
+    columns tagged, with the second doubled: laid over its V2 = K2 + F2 tagged
+    vertices once row to column and once column to row.  So (K1 V2, F1 V2,
+    g1 g2, S1 S2), and the degree condition is the star law's.  The doubled
+    factor's column degrees are constant exactly when every row of the second
+    factor, too, holds g2 colored cells; otherwise the product has no array
+    form unless g1 = 0."""
+    k2, f2, g2, s2 = second
+    return star_law(first, (k2 + f2, k2 + f2, g2, s2))
 
 
 def disjoint_union_kfgs(n: int, a: int, b: int) -> KFgS:

@@ -102,14 +102,8 @@ def star_product(gs: Sequence[ColoredBipartiteGraph]) -> ColoredBipartiteGraph:
         _require_strong(g)
     left = tuple(iproduct(*(g.left for g in gs)))
     right = tuple(iproduct(*(g.right for g in gs)))
-    triples = frozenset(
-        (
-            tuple(tr[0] for tr in combo),
-            tuple(tr[1] for tr in combo),
-            tuple(tr[2] for tr in combo),
-        )
-        for combo in iproduct(*(tuple(g.triples) for g in gs))
-    )
+    # zip(*combo) regroups one triple per factor into (row, column, color).
+    triples = frozenset(tuple(zip(*combo)) for combo in iproduct(*(g.triples for g in gs)))
     return ColoredBipartiteGraph(left, right, triples)
 
 
@@ -119,7 +113,9 @@ def tensor_product(c1: ColoredGraph, c2: ColoredGraph) -> ColoredGraph:
     Each pair of edges {x1, y1} and {x2, y2} gives the edges {(x1, x2), (y1, y2)}
     and {(x1, y2), (y1, x2)}, both colored (s1, s2).  Each factor is split into
     its two sides (``two_coloring``) and checked there by the bipartite strength
-    oracle; a factor with an odd cycle is rejected.
+    oracle; a factor with an odd cycle is rejected.  Split into its "row" and
+    "col" vertices, it is the star product of the first factor's tagged sides
+    with the second laid over its tagged vertices in both directions.
     """
     for c in (c1, c2):
         side = two_coloring(c)
@@ -138,7 +134,7 @@ def tensor_product(c1: ColoredGraph, c2: ColoredGraph) -> ColoredGraph:
 
 
 def cycle_product(base: ColoredBipartiteGraph, m: int) -> ColoredBipartiteGraph:
-    """Strong-like product of an m-cycle with a strong bipartite coloring.
+    """The star product of an m-cycle's coloring S_m with a strong bipartite coloring.
 
     Rows are (cycle vertex, base row) pairs and columns (cycle vertex,
     base column) pairs; an edge requires a base edge in the second coordinate
@@ -148,27 +144,23 @@ def cycle_product(base: ColoredBipartiteGraph, m: int) -> ColoredBipartiteGraph:
     base color.  Supported m: 3 (nine color groups) and multiples of 6 (eight,
     since the vertex coloring then needs only two colors).
 
-    The colors follow a closed rule.  Vertex x has color "abc"[x-1] when
-    m = 3, and otherwise "a" for odd x and "b" for even x.  The arrow
-    x -> (x mod m) + 1 has color (x mod 3) + 1, and the reverse arrow the same
-    color primed.  This equals the paper's construction from a proper vertex
-    coloring, the 3-color strong edge coloring of the cycle and its two
-    opposing orientations, which lives in the tests as the reference
-    (test_cycle_product_equals_the_oriented_cycle_construction).
+    S_m colors those 3m steps on rows and columns 1..m by a closed rule.
+    Vertex x has color "abc"[x-1] when m = 3, and otherwise "a" for odd x and
+    "b" for even x.  The arrow x -> (x mod m) + 1 has color (x mod 3) + 1, and
+    the reverse arrow the same color primed.  This equals the paper's
+    construction from a proper vertex coloring, the 3-color strong edge
+    coloring of the cycle and its two opposing orientations, which lives in the
+    tests as the reference (test_cycle_product_equals_the_oriented_cycle_construction).
+    ``star_product`` checks both factors: a base that is not strong raises ``NotStrongError``.
     """
     check_cycle_length(m)
-    _require_strong(base)
-    ring = range(1, m + 1)
+    ring = tuple(range(1, m + 1))
     # (first row coordinate, first column coordinate, cycle color) for every step
     steps = [(x, x, "abc"[x - 1] if m == 3 else "ab"[(x - 1) % 2]) for x in ring]
     for x in ring:
         s = x % 3 + 1
         steps += [(x, x % m + 1, s), (x % m + 1, x, f"{s}'")]
-
-    left = tuple((x, y) for x in ring for y in base.left)
-    right = tuple((x, v) for x in ring for v in base.right)
-    triples = frozenset(((x, y), (u, v), (s, s2)) for y, v, s2 in base.triples for x, u, s in steps)
-    return ColoredBipartiteGraph(left, right, triples)
+    return star_product([ColoredBipartiteGraph(ring, ring, frozenset(steps)), base])
 
 
 def _check_inputs(mode: str, arrays: Sequence[PdaArray]) -> None:

@@ -514,7 +514,7 @@ def read_pda(text: str) -> PdaArray:
 
     grid: list[tuple[Entry, ...]] = []
     for lineno, line in enumerate(lines, start=3):
-        tokens = line.split(" ")
+        tokens = line.split(" ") if line else []
         if "" in tokens:
             at = line.index("  ") + 2 if "  " in line else (1 if line.startswith(" ") else len(line) + 1)
             raise PdaFormatError("tokens must be separated by single spaces", lineno, at)

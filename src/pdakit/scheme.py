@@ -142,9 +142,10 @@ def _check_demand(p: PdaArray, lib: FileLibrary, demand: Sequence[int]) -> tuple
     d = tuple(demand)
     if len(d) != p.K:
         raise SchemeError(f"demand must list {p.K} files, got {len(d)}")
+    n_files = lib.n_files
     for k, want in enumerate(d, start=1):
-        if not 1 <= want <= lib.n_files:
-            raise SchemeError(f"user {k} demands file {want}, library has 1..{lib.n_files}")
+        if not 1 <= want <= n_files:
+            raise SchemeError(f"user {k} demands file {want}, library has 1..{n_files}")
     return d
 
 

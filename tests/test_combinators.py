@@ -338,6 +338,42 @@ def test_tensor_law_matches_the_measured_products_of_the_bases():
     assert (agreed, refused) == (24, 12)
 
 
+def _tag(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
+    """g with its rows labelled ("row", l) and its columns ("col", r)."""
+    return ColoredBipartiteGraph(
+        tuple(("row", l) for l in g.left),
+        tuple(("col", r) for r in g.right),
+        frozenset((("row", l), ("col", r), s) for l, r, s in g.triples),
+    )
+
+
+def _double(g: ColoredBipartiteGraph) -> ColoredBipartiteGraph:
+    """g laid twice over its tagged vertex list V2, rows first, on both sides:
+    once as ("row", l) -> ("col", r) and once as ("col", r) -> ("row", l),
+    both in g's color."""
+    tagged = _tag(g)
+    v2 = tagged.left + tagged.right
+    return ColoredBipartiteGraph(v2, v2, tagged.triples | {(r, l, s) for l, r, s in tagged.triples})
+
+
+def test_tensor_product_is_the_star_product_of_the_tagged_and_doubled_factors():
+    refused = 0
+    for p1, p2 in itertools.product(_tensor_bases().values(), repeat=2):
+        g1, g2 = pda_to_coloring(p1), pda_to_coloring(p2)
+        product = tensor_product(as_general_graph(g1), as_general_graph(g2))
+        tensor = split_bipartite(product, [v for v in product.vertices if v[0][0] == "row"])
+        star = star_product([_tag(g1), _double(g2)])
+        assert (star.left, star.right, star.triples) == (tensor.left, tensor.right, tensor.triples)
+        outcome = _outcome(coloring_to_pda, star)
+        assert outcome == _outcome(coloring_to_pda, tensor)
+        # The degree rule: refused exactly when some row of the second array
+        # holds other than g2 colored cells.
+        uneven = any(len(row) - row.count(None) != params(p2).g for row in p2.grid)
+        assert (outcome[0] is NonConstantDegreeError) == uneven
+        refused += uneven
+    assert refused == 12
+
+
 def _reference_combine(mode: str, arrays: list[PdaArray], m: int | None = None) -> PdaArray:
     """The command line's combine sequence from before `combinators.combine`:
     colorings, the operator, the tensor product's general-graph round trip and

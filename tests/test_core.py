@@ -666,6 +666,13 @@ def test_read_rejects_bad_magic_and_spacing():
         read_pda("pda v1\nK=2 F=1 Z=0 S=2\n1  2\n")
 
 
+def test_read_reports_an_empty_grid_line_as_zero_tokens():
+    with pytest.raises(PdaFormatError) as info:
+        read_pda("pda v1\nK=2 F=2 Z=1 S=1\n1 *\n\n")
+    assert (info.value.line, info.value.column) == (4, 1)
+    assert str(info.value) == "line 4, column 1: expected 2 tokens, found 0"
+
+
 LONG = "9" * 5000  # past Python's default 4,300-digit int() limit
 
 

@@ -14,8 +14,9 @@ from conftest import _one_fault_classes, _roundtrip_catalog, _star_to_color
 
 import pdakit
 from pdakit import graphs
+from pdakit.analytics import cycle_law
 from pdakit.combinators import cycle_product, star_product
-from pdakit.core import PdaArray, ValidationReport, Violation, validate, write_pda
+from pdakit.core import PdaArray, ValidationReport, Violation, params, validate, write_pda
 from pdakit.families import disjoint_union_coloring, restricted_combined_family, star_graph_coloring, trivial_pda
 from pdakit.graphs import (
     ColoredBipartiteGraph,
@@ -431,23 +432,26 @@ def opposing_orientations(c: ColoredGraph) -> tuple[Orientation, Orientation]:
     return Orientation(frozenset(forward)), Orientation(frozenset(backward))
 
 
-def _oriented_cycle_product(base: ColoredBipartiteGraph, m: int) -> ColoredBipartiteGraph:
-    """The cycle product as the paper builds it: a proper vertex coloring of
-    the m-cycle, its 3-color strong edge coloring and the two opposing
-    orientations give the color of each equal or adjacent first coordinate."""
+def _oriented_cycle_factor(m: int) -> ColoredBipartiteGraph:
+    """S_m as the paper builds it, on rows and columns 1..m: a proper vertex
+    coloring of the m-cycle colors each equal pair, and the 3-color strong
+    edge coloring with its two opposing orientations each adjacent pair."""
     vertex_colors = cycle_vertex_coloring(m).as_dict()
     forward, backward = opposing_orientations(cycle_strong_coloring(m))
     arrows = dict(forward.directed) | dict(backward.directed)
     ring = tuple(range(1, m + 1))
-    left = tuple((x, y) for x in ring for y in base.left)
-    right = tuple((x, v) for x in ring for v in base.right)
-    triples = set()
-    for y, v, s2 in base.triples:
-        for x in ring:
-            triples.add(((x, y), (x, v), (vertex_colors[x], s2)))
-        for (x, u), s in arrows.items():
-            triples.add(((x, y), (u, v), (s, s2)))
-    return ColoredBipartiteGraph(left, right, frozenset(triples))
+    steps = [(x, x, vertex_colors[x]) for x in ring] + [(x, u, s) for (x, u), s in arrows.items()]
+    return ColoredBipartiteGraph(ring, ring, frozenset(steps))
+
+
+def _oriented_cycle_product(base: ColoredBipartiteGraph, m: int) -> ColoredBipartiteGraph:
+    """The cycle product as the paper builds it: every base edge paired with
+    every step of the cycle factor, the colors paired alike."""
+    cycle = _oriented_cycle_factor(m)
+    left = tuple((x, y) for x in cycle.left for y in base.left)
+    right = tuple((x, v) for x in cycle.right for v in base.right)
+    triples = frozenset(((x, y), (u, v), (s, s2)) for y, v, s2 in base.triples for x, u, s in cycle.triples)
+    return ColoredBipartiteGraph(left, right, triples)
 
 
 def test_cycle_structure():
@@ -547,6 +551,15 @@ def test_cycle_product_equals_the_oriented_cycle_construction(m):
         assert direct == reference
         p, q = coloring_to_pda(direct), coloring_to_pda(reference)
         assert (write_pda(p), p.legend) == (write_pda(q), q.legend)
+
+
+@pytest.mark.parametrize("m", [3, 6, 12, 18, 30])
+def test_the_cycle_factor_measures_the_cycle_law_and_passes_both_oracles(m):
+    cycle = _oriented_cycle_factor(m)
+    p = coloring_to_pda(cycle)
+    r = params(p)
+    assert (r.K, r.F, r.g, r.S) == (m, m, 3, 9 if m == 3 else 8) == cycle_law((1, 1, 1, 1), m)
+    assert validate(p).is_valid and is_strong_coloring(cycle).is_valid
 
 
 def test_two_coloring_and_split():
