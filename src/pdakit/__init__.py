@@ -47,7 +47,6 @@ from .families import (
     disjoint_union_coloring,
     intersection_t_coloring,
     restricted_combined_family,
-    star_graph_coloring,
     subsets,
     trivial_pda,
 )
@@ -62,7 +61,6 @@ from .graphs import (
     is_strong_coloring,
     pda_to_coloring,
     split_bipartite,
-    two_coloring,
 )
 from .scheme import (
     BroadcastLog,

@@ -5,12 +5,12 @@ class when clean, a walk of the pairs only in a class that fails), builds the
 composite triple system, and returns a colored graph whose colors are
 structured tuples recording exactly which input colors and vertices
 contributed.  All factors are bipartite, as every array's coloring is; the
-tensor product takes them as general graphs and checks each on its split
-into two sides.  Converting to an array (graphs.coloring_to_pda) densifies those
-tuples to integers and keeps the mapping on the array's legend; ``combine``
-runs the whole pipeline from arrays to an array.  Outputs need not have
-constant column degree, so the conversion may legitimately fail, as it does
-for the same-colors combination without the nested-pair restriction.
+tensor product takes them as general graphs and checks each on the split its
+"row" and "col" vertex tags name.  Converting to an array (coloring_to_pda)
+densifies those tuples to integers and keeps the mapping on the array's
+legend; ``combine`` runs the whole pipeline from arrays to an array.  Outputs
+need not have constant column degree, so the conversion may legitimately fail,
+as it does for the same-colors combination without the nested-pair restriction.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .graphs import (
     coloring_to_pda,
     pda_to_coloring,
     split_bipartite,
-    two_coloring,
 )
 
 class CombineError(ValueError):
@@ -50,10 +49,10 @@ def combine_same_colors(
     """
     _require_strong(g1)
     _require_strong(g2)
-    if g1.colors != g2.colors:
-        raise CombineError(
-            f"color sets differ: {sorted(map(repr, g1.colors))} vs {sorted(map(repr, g2.colors))}"
-        )
+    if differ := g1.colors ^ g2.colors:
+        only = next(s for s in g1._palette + g2._palette if s in differ)
+        raise CombineError(f"color sets differ: {len(g1._palette)} colors vs {len(g2._palette)}; "
+                           f"{only!r} is only in the {'first' if only in g1.colors else 'second'}")
     by_color1: dict[Label, list[tuple[Label, Label]]] = {}
     for x, y, s in g1.triples:
         by_color1.setdefault(s, []).append((x, y))
@@ -111,17 +110,18 @@ def tensor_product(c1: ColoredGraph, c2: ColoredGraph) -> ColoredGraph:
     """Tensor product of two bipartite factors, with tuple colors.
 
     Each pair of edges {x1, y1} and {x2, y2} gives the edges {(x1, x2), (y1, y2)}
-    and {(x1, y2), (y1, x2)}, both colored (s1, s2).  Each factor is split into
-    its two sides (``two_coloring``) and checked there by the bipartite strength
-    oracle; a factor with an odd cycle is rejected.  Split into its "row" and
+    and {(x1, y2), (y1, x2)}, both colored (s1, s2).  Each factor's sides are
+    the tags ``as_general_graph`` puts on its vertices: a vertex that is not
+    ("row", l) or ("col", r) is a ``CombineError``, an edge inside one side (as
+    any odd cycle has) a ``GraphError`` from ``split_bipartite``, and each split
+    is checked by the bipartite strength oracle.  Split into its "row" and
     "col" vertices, it is the star product of the first factor's tagged sides
     with the second laid over its tagged vertices in both directions.
     """
     for c in (c1, c2):
-        side = two_coloring(c)
-        if side is None:
-            raise CombineError("tensor product requires bipartite factors: a factor has an odd cycle")
-        _require_strong(split_bipartite(c, [v for v in c.vertices if side[v] == 0]))
+        if untagged := [v for v in c.vertices if not (isinstance(v, tuple) and len(v) == 2 and v[0] in ("row", "col"))]:
+            raise CombineError(f"tensor factor vertex {untagged[0]!r} is not tagged 'row' or 'col'")
+        _require_strong(split_bipartite(c, [v for v in c.vertices if v[0] == "row"]))
     vertices = tuple((u, v) for u in c1.vertices for v in c2.vertices)
     edges: set[tuple[frozenset, tuple]] = set()
     for e1, s1 in c1.colored_edges:

@@ -11,7 +11,7 @@ from math import comb
 
 from .analytics import ParameterError, check_disjoint_union, check_intersection_t, check_restricted
 from .core import InvalidPdaError, PdaArray, validate
-from .graphs import ColoredBipartiteGraph, pda_to_coloring
+from .graphs import ColoredBipartiteGraph
 
 SubsetLabel = tuple[int, ...]
 
@@ -97,8 +97,3 @@ def star_pda(m: int) -> PdaArray:
     if m < 1:
         raise ParameterError(f"need m >= 1, got m={m}")
     return PdaArray([list(range(1, m + 1))])
-
-
-def star_graph_coloring(m: int) -> ColoredBipartiteGraph:
-    """K_{1,m} with every edge its own color (any strong coloring must do this)."""
-    return pda_to_coloring(star_pda(m))

@@ -7,18 +7,19 @@ strongly colored and the column-side vertices all have the same degree, which
 makes the checker here a second, independent oracle for the grid validator.
 
 The checker scans bipartite graphs only, as every array's coloring is one; a
-general ``ColoredGraph`` is checked on its split into two sides.  Labels
-become positions once, at construction, and every scan reads the index kept
-by that pass: edges row-major in the declared order of the two sides.
-Strength witnesses, the degree witness and the array built from a coloring
-all follow that order, so none depends on set iteration or hashing.
+tensor factor is checked on its split into the "row" and "col" vertices that
+``as_general_graph`` tags.  Labels become positions once, at construction,
+and every scan reads the index kept by that pass: edges row-major in the
+declared order of the two sides.  Strength witnesses, the degree witness and
+the array built from a coloring all follow that order, so none depends on set
+iteration or hashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable
 
 from .core import Entry, PdaArray, ValidationReport, Violation
 
@@ -224,7 +225,7 @@ def coloring_to_pda(g: ColoredBipartiteGraph) -> PdaArray:
 
 
 def as_general_graph(g: ColoredBipartiteGraph) -> ColoredGraph:
-    """Forget sides, tagging vertices so the two sides cannot collide."""
+    """Forget sides, tagging each vertex ("row", l) or ("col", r): the sides ``tensor_product`` reads."""
     vertices = tuple(("row", l) for l in g.left) + tuple(("col", r) for r in g.right)
     edges = frozenset(
         (frozenset({("row", l), ("col", r)}), s) for l, r, s in g.triples
@@ -251,27 +252,3 @@ def split_bipartite(g: ColoredGraph, left_vertices: Iterable[Label]) -> ColoredB
         else:
             raise GraphError(f"edge {set(e)!r} does not cross the requested split")
     return ColoredBipartiteGraph(left, right, frozenset(triples))
-
-
-def two_coloring(g: ColoredGraph) -> Optional[dict[Label, int]]:
-    """BFS bipartition of the support; None when an odd cycle exists."""
-    adjacency: dict[Label, set[Label]] = {v: set() for v in g.vertices}
-    for e, _ in g.colored_edges:
-        u, v = tuple(e)
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    side: dict[Label, int] = {}
-    for start in g.vertices:
-        if start in side:
-            continue
-        side[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in adjacency[u]:
-                if w not in side:
-                    side[w] = 1 - side[u]
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return None
-    return side

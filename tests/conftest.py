@@ -11,7 +11,7 @@ from pdakit.families import (
     disjoint_union_coloring,
     intersection_t_coloring,
     restricted_combined_family,
-    star_graph_coloring,
+    star_pda,
     trivial_pda,
 )
 from pdakit.graphs import coloring_to_pda, pda_to_coloring
@@ -37,7 +37,7 @@ def _roundtrip_catalog() -> list[tuple[PdaArray, int]]:
         (trivial_pda(), 3),
         (coloring_to_pda(disjoint_union_coloring(4, 1, 2)), 2),
         (coloring_to_pda(intersection_t_coloring(4, 2, 2, 1)), 3),
-        (coloring_to_pda(star_graph_coloring(3)), 4),
+        (coloring_to_pda(pda_to_coloring(star_pda(3))), 4),
         (coloring_to_pda(star_product([pda_to_coloring(trivial_pda())] * 2)), 3),
         (restricted_combined_family(4, 1, 2, 1), 2),
         (coloring_to_pda(cycle_product(pda_to_coloring(trivial_pda()), 6)), 3),

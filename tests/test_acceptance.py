@@ -28,7 +28,7 @@ from pdakit.families import (
     disjoint_union_coloring,
     intersection_t_coloring,
     restricted_combined_family,
-    star_graph_coloring,
+    star_pda,
     trivial_pda,
 )
 from pdakit.graphs import coloring_to_pda, is_strong_coloring, pda_to_coloring
@@ -231,7 +231,7 @@ def _mutation_corpus(count: int, seed: int) -> list[PdaArray]:
         coloring_to_pda(disjoint_union_coloring(5, 1, 2)),
         coloring_to_pda(disjoint_union_coloring(5, 2, 2)),
         coloring_to_pda(intersection_t_coloring(4, 2, 2, 1)),
-        coloring_to_pda(star_graph_coloring(4)),
+        coloring_to_pda(pda_to_coloring(star_pda(4))),
         coloring_to_pda(cycle_product(pda_to_coloring(trivial_pda()), 3)),
         coloring_to_pda(star_product([pda_to_coloring(trivial_pda())] * 2)),
         restricted_combined_family(4, 1, 2, 1),

@@ -276,6 +276,21 @@ def test_same_colors_takes_exactly_two_files(tmp_path, ex1_file, capsys):
     assert not out.exists()
 
 
+def test_same_colors_color_mismatch_is_one_short_line_whatever_s_is(tmp_path, capsys):
+    # A 1 x 100,000 star array holds colors 1..100000, the trivial array only 1.
+    star, triv, out = tmp_path / "star.pda", tmp_path / "triv.pda", tmp_path / "o.pda"
+    star.write_text(write_pda(families.star_pda(100_000)))
+    triv.write_text(write_pda(families.trivial_pda()))
+    for files, side in (([star, triv], "first"), ([triv, star], "second")):
+        assert main(["combine", "--mode", "same-colors", *map(str, files), "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        counts = "100000 colors vs 1" if side == "first" else "1 colors vs 100000"
+        assert captured.err == f"error: color sets differ: {counts}; 2 is only in the {side}\n"
+        assert len(captured.err.encode()) < 200
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "operator, argv, cells",
     [

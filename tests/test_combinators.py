@@ -32,12 +32,13 @@ from pdakit.families import (
     disjoint_union_coloring,
     intersection_t_coloring,
     restricted_combined_family,
-    star_graph_coloring,
+    star_pda,
     trivial_pda,
 )
 from pdakit.graphs import (
     ColoredBipartiteGraph,
     ColoredGraph,
+    GraphError,
     NonConstantDegreeError,
     NotStrongError,
     as_general_graph,
@@ -131,14 +132,14 @@ def test_star_product_trivial_squared_by_expansion():
 
 
 def test_star_product_grouping_with_star_graph(example1):
-    grouped = star_product([pda_to_coloring(example1), star_graph_coloring(3)])
+    grouped = star_product([pda_to_coloring(example1), pda_to_coloring(star_pda(3))])
     pr = params(coloring_to_pda(grouped))
     # grouping multiplies users and colors by m, keeps F and Z
     assert (pr.K, pr.F, pr.Z, pr.S) == (12, 4, 2, 12)
 
 
 def test_star_product_with_single_leaf_is_identity_like(example1):
-    p = coloring_to_pda(star_product([pda_to_coloring(example1), star_graph_coloring(1)]))
+    p = coloring_to_pda(star_product([pda_to_coloring(example1), pda_to_coloring(star_pda(1))]))
     assert equivalent(p, example1) is EquivalenceResult.EQUIVALENT
 
 
@@ -165,7 +166,9 @@ def test_star_product_needs_two_factors():
 
 
 def _single_edge(u, v, color) -> ColoredGraph:
-    return ColoredGraph((u, v), frozenset({(frozenset({u, v}), color)}))
+    """One edge from row u to column v, tagged as ``as_general_graph`` tags them."""
+    ends = (("row", u), ("col", v))
+    return ColoredGraph(ends, frozenset({(frozenset(ends), color)}))
 
 
 def _strong_on_split(product: ColoredGraph, left) -> bool:
@@ -174,12 +177,13 @@ def _strong_on_split(product: ColoredGraph, left) -> bool:
 
 def test_tensor_of_single_edges():
     product = tensor_product(_single_edge("a", "b", 1), _single_edge("c", "d", 9))
+    a, b, c, d = ("row", "a"), ("col", "b"), ("row", "c"), ("col", "d")
     assert len(product.colored_edges) == 2
     assert {s for _, s in product.colored_edges} == {(1, 9)}
-    assert _strong_on_split(product, [("a", "c"), ("a", "d")])
+    assert _strong_on_split(product, [(a, c), (a, d)])
     supports = {e for e, _ in product.colored_edges}
-    assert frozenset({("a", "c"), ("b", "d")}) in supports
-    assert frozenset({("a", "d"), ("b", "c")}) in supports
+    assert frozenset({(a, c), (b, d)}) in supports
+    assert frozenset({(a, d), (b, c)}) in supports
 
 
 def test_tensor_trivial_with_edge_is_strong():
@@ -195,20 +199,34 @@ def test_tensor_rejects_two_odd_cycles():
         tensor_product(c3, c3)
 
 
-def test_tensor_rejects_one_odd_cycle():
-    # Every array's coloring is bipartite, so a factor with an odd cycle has no PDA behind it.
-    c3 = ColoredGraph((1, 2, 3), frozenset((frozenset({x, x % 3 + 1}), x) for x in (1, 2, 3)))
-    with pytest.raises(CombineError, match="requires bipartite factors"):
-        tensor_product(c3, _single_edge("u", "v", 7))
-    with pytest.raises(CombineError, match="requires bipartite factors"):
-        tensor_product(_single_edge("u", "v", 7), c3)
+def test_tensor_rejects_an_untagged_factor_naming_its_first_untagged_vertex():
+    factor = ColoredGraph((("row", 1), "x", "y"), frozenset({(frozenset({("row", 1), "x"}), 1)}))
+    for pair in ((factor, _single_edge("u", "v", 7)), (_single_edge("u", "v", 7), factor)):
+        with pytest.raises(CombineError, match=r"^tensor factor vertex 'x' is not tagged 'row' or 'col'$"):
+            tensor_product(*pair)
+
+
+def test_tensor_rejects_a_tagged_odd_cycle():
+    # Every array's coloring is bipartite, so a factor with an odd cycle has no PDA behind
+    # it.  However it is tagged, an odd cycle has an edge inside one side.
+    r1, r2, c = ("row", 1), ("row", 2), ("col", 3)
+    triangle = ColoredGraph(
+        (r1, r2, c), frozenset({(frozenset({r1, r2}), 1), (frozenset({r2, c}), 2), (frozenset({c, r1}), 3)})
+    )
+    # Only the message's stable part: the edge's set repr depends on the hash seed.
+    for pair in ((triangle, _single_edge("u", "v", 7)), (_single_edge("u", "v", 7), triangle)):
+        with pytest.raises(GraphError, match="does not cross"):
+            tensor_product(*pair)
 
 
 def test_tensor_checks_each_factor_with_the_bipartite_scan(scans):
     g = as_general_graph(pda_to_coloring(trivial_pda()))
     tensor_product(g, _single_edge("u", "v", 7))
     assert [type(obj) for obj in scans] == [ColoredBipartiteGraph] * 2
-    bad = ColoredGraph(("a", "b", "c"), frozenset({(frozenset("ab"), 1), (frozenset("bc"), 1)}))
+    # Each factor is split on its tags: its "row" vertices are the scanned graph's rows.
+    assert [obj.left for obj in scans] == [(("row", 1), ("row", 2)), (("row", "u"),)]
+    a, b, c = ("row", "a"), ("col", "b"), ("row", "c")
+    bad = ColoredGraph((a, b, c), frozenset({(frozenset({a, b}), 1), (frozenset({b, c}), 1)}))
     with pytest.raises(NotStrongError):
         tensor_product(g, bad)
 
@@ -292,7 +310,7 @@ def _tensor_bases() -> dict[str, PdaArray]:
         "intersection-t(5,2,2,1)": coloring_to_pda(intersection_t_coloring(5, 2, 2, 1)),
         "intersection-t(4,2,2,1)": coloring_to_pda(intersection_t_coloring(4, 2, 2, 1)),
         "disjoint-union(4,1,1) read back": read_pda(write_pda(coloring_to_pda(disjoint_union_coloring(4, 1, 1)))),
-        "star(3)": coloring_to_pda(star_graph_coloring(3)),
+        "star(3)": coloring_to_pda(pda_to_coloring(star_pda(3))),
     }
 
 

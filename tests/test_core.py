@@ -30,7 +30,7 @@ from pdakit.families import (
     disjoint_union_coloring,
     intersection_t_coloring,
     restricted_combined_family,
-    star_graph_coloring,
+    star_pda,
     trivial_pda,
 )
 from pdakit.graphs import coloring_to_pda, pda_to_coloring
@@ -529,7 +529,7 @@ def _equivalence_corpus() -> list[tuple[str, PdaArray, PdaArray]]:
         "du-5-1-2": coloring_to_pda(disjoint_union_coloring(5, 1, 2)),
         "du-5-2-2": coloring_to_pda(disjoint_union_coloring(5, 2, 2)),
         "it-4-2-2-1": coloring_to_pda(intersection_t_coloring(4, 2, 2, 1)),
-        "star-graph-4": coloring_to_pda(star_graph_coloring(4)),
+        "star-graph-4": coloring_to_pda(pda_to_coloring(star_pda(4))),
         "cycle-3": coloring_to_pda(cycle_product(trivial, 3)),
         "star-2": coloring_to_pda(star_product([trivial] * 2)),
         "rc-4-1-2-1": restricted_combined_family(4, 1, 2, 1),

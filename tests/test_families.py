@@ -20,7 +20,6 @@ from pdakit.families import (
     disjoint_union_coloring,
     intersection_t_coloring,
     restricted_combined_family,
-    star_graph_coloring,
     star_pda,
     subsets,
     trivial_pda,
@@ -287,12 +286,12 @@ def test_trivial_pda_params():
 
 
 def test_star_graph_single_edge():
-    g = star_graph_coloring(1)
+    g = pda_to_coloring(star_pda(1))
     assert len(g.triples) == 1 and len(g.colors) == 1
 
 
 def test_star_graph_three_leaves():
-    p = coloring_to_pda(star_graph_coloring(3))
+    p = coloring_to_pda(pda_to_coloring(star_pda(3)))
     assert p.F == 1 and p.K == 3 and p.S == 3
     assert set(p.grid[0]) == {1, 2, 3}
 
@@ -308,16 +307,15 @@ def _hand_built_star(m: int) -> ColoredBipartiteGraph:
 def test_star_family_is_the_coloring_of_its_one_row_array():
     for m in range(1, 65):
         reference = _hand_built_star(m)
-        assert star_graph_coloring(m) == reference, m
+        assert pda_to_coloring(star_pda(m)) == reference, m
         p, expected = star_pda(m), coloring_to_pda(reference)
         assert p == expected and p.legend is None and expected.legend is None, m
 
 
 @pytest.mark.parametrize("m", [0, -3])
 def test_star_family_rejects_m_below_one(m):
-    for build in (star_pda, star_graph_coloring):
-        with pytest.raises(ParameterError, match=rf"^need m >= 1, got m={m}$"):
-            build(m)
+    with pytest.raises(ParameterError, match=rf"^need m >= 1, got m={m}$"):
+        star_pda(m)
 
 
 def _legal(check, *args) -> bool:

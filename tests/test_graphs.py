@@ -17,7 +17,7 @@ from pdakit import graphs
 from pdakit.analytics import cycle_law
 from pdakit.combinators import cycle_product, star_product
 from pdakit.core import PdaArray, ValidationReport, Violation, params, validate, write_pda
-from pdakit.families import disjoint_union_coloring, restricted_combined_family, star_graph_coloring, trivial_pda
+from pdakit.families import disjoint_union_coloring, restricted_combined_family, star_pda, trivial_pda
 from pdakit.graphs import (
     ColoredBipartiteGraph,
     ColoredGraph,
@@ -30,7 +30,6 @@ from pdakit.graphs import (
     is_strong_coloring,
     pda_to_coloring,
     split_bipartite,
-    two_coloring,
 )
 
 
@@ -542,7 +541,7 @@ def test_cycle_product_equals_the_oriented_cycle_construction(m):
     bases = [
         pda_to_coloring(trivial_pda()),
         disjoint_union_coloring(4, 1, 2),
-        star_graph_coloring(3),
+        pda_to_coloring(star_pda(3)),
         string_strip,
     ]
     for base in bases:
@@ -562,13 +561,7 @@ def test_the_cycle_factor_measures_the_cycle_law_and_passes_both_oracles(m):
     assert validate(p).is_valid and is_strong_coloring(cycle).is_valid
 
 
-def test_two_coloring_and_split():
-    even = cycle_strong_coloring(6)
-    side = two_coloring(even)
-    assert side is not None
-    odd = cycle_strong_coloring(3)
-    assert two_coloring(odd) is None
-
+def test_split_bipartite_rebuilds_the_tagged_sides():
     g = ColoredBipartiteGraph(
         left=(1, 2), right=("x", "y"), triples=frozenset({(1, "x", 1), (2, "y", 2)})
     )
