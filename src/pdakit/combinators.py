@@ -53,24 +53,15 @@ def combine_same_colors(
         only = next(s for s in g1._palette + g2._palette if s in differ)
         raise CombineError(f"color sets differ: {len(g1._palette)} colors vs {len(g2._palette)}; "
                            f"{only!r} is only in the {'first' if only in g1.colors else 'second'}")
-    by_color1: dict[Label, list[tuple[Label, Label]]] = {}
-    for x, y, s in g1.triples:
-        by_color1.setdefault(s, []).append((x, y))
     by_color2: dict[Label, list[tuple[Label, Label]]] = {}
     for u, v, s in g2.triples:
         by_color2.setdefault(s, []).append((u, v))
-
-    pairs: set[tuple[Label, Label]] = set()
-    triples: set[tuple[Label, Label, Label]] = set()
-    for s, edges1 in by_color1.items():
-        for (x, y), (u, v) in iproduct(edges1, by_color2.get(s, ())):
-            pairs.add((x, u))
-            triples.add((y, (x, u), (s, v)))
-
+    # The color sets are equal, so every color of g1 has its class in g2.
+    triples = frozenset((y, (x, u), (s, v)) for x, y, s in g1.triples for u, v in by_color2[s])
     idx1 = {x: i for i, x in enumerate(g1.left)}
     idx2 = {u: i for i, u in enumerate(g2.left)}
-    right = tuple(sorted(pairs, key=lambda p: (idx1[p[0]], idx2[p[1]])))
-    return ColoredBipartiteGraph(g1.right, right, frozenset(triples))
+    right = tuple(sorted({c for _, c, _ in triples}, key=lambda c: (idx1[c[0]], idx2[c[1]])))
+    return ColoredBipartiteGraph(g1.right, right, triples)
 
 
 def same_colors_claimed_params(p1: PdaArray, p2: PdaArray) -> tuple[int, int, int, int]:

@@ -142,9 +142,10 @@ class PdaArray:
     _report: Optional[ValidationReport] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Rows are stored as tuples, so no caller's list can change a checked
-        # grid or the views memoized from it.
+        # Rows are stored as tuples and the legend as a dict of its own, so no
+        # caller's list or mapping can change a checked grid, legend or view.
         object.__setattr__(self, "grid", tuple(tuple(row) for row in self.grid))
+        object.__setattr__(self, "legend", None if self.legend is None else dict(self.legend))
         if not self.grid or not self.grid[0]:
             raise PdaError("grid must have at least one row and one column")
         width = len(self.grid[0])
@@ -467,7 +468,10 @@ def _parse_int(digits: str, line: int, column: int) -> int:
 
 
 def write_pda(p: PdaArray) -> str:
-    """Serialize to the versioned text format, bit-exact and label-preserving.
+    """Serialize to the versioned text format, bit-exact in the grid.
+
+    The legend is not written, so the array read back has none;
+    ``read_pda(write_pda(p)) == p`` holds because equality ignores the legend.
 
     The header Z records the star count of the first column (equal across
     columns once the array validates).  Colors are written exactly as stored;

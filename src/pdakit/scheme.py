@@ -237,7 +237,9 @@ def verify_roundtrip(p: PdaArray, lib: FileLibrary, demand: Sequence[int]) -> bo
 
     A star row is the library's own packet.  Packets are fixed-width and
     big-endian, so equal ints are equal bytes: no slot or byte string is built.
+    A file length that F does not divide is refused as ``place`` and ``deliver`` refuse it.
     """
+    _packet_size(p, lib)
     d = _check_demand(p, lib, demand)
     files = {i: lib.packet_ints(i, p.F) for i in set(d)}
     wanted = [files[i] for i in d]

@@ -144,6 +144,9 @@ def test_block_code_params_validates_x_and_q():
     assert block_code_params(60, 2, 44).label == "(60,2,44,3)"  # the table prints x=4
     with pytest.raises(ParameterError):
         block_code_params(24, 6, 17)  # q = 6 is not a prime power
+    for q in (1, 0, -4):  # below 2, no prime power
+        with pytest.raises(ParameterError, match=f"^q must be a prime power, got q={q}$"):
+            block_code_params(3, q, 2)
     with pytest.raises(ParameterError):
         block_code_params(0, 2, 1)
 

@@ -5,7 +5,11 @@ import contextlib
 import io
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -460,6 +464,25 @@ def test_simulate_exhaustive_streams_its_demands(ex1_file, monkeypatch):
     assert len(yielded) == 16
 
 
+def test_simulate_exits_3_when_a_round_trip_fails(ex1_file, monkeypatch, capsys):
+    monkeypatch.setattr(scheme, "verify_roundtrip", lambda p, lib, demand: False)
+    assert main(["simulate", ex1_file, "--files", "2", "--demand", "1,2,2,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("demand 1,2,2,1: FAIL\n0/1 demands decoded")
+    assert captured.err == "decoding failed on a validated array: validator invariant breached\n"
+
+
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGITS, reason="this Python converts integers of any length")
+def test_simulate_refuses_a_demand_token_longer_than_int_converts(ex1_file, capsys):
+    demand = "1" * (_INT_DIGITS + 1) + ",1,1,1"
+    assert main(["simulate", ex1_file, "--files", "2", "--demand", demand]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --demand ") and "Traceback" not in err
+
+
 def test_simulate_usage_errors(ex1_file):
     assert main(["simulate", ex1_file, "--files", "0"]) == 2
     assert main(["simulate", ex1_file, "--files", "2", "--demand", "1,2", "--exhaustive"]) == 2
@@ -714,3 +737,18 @@ def test_written_files_reread_and_revalidate(tmp_path):
     p = read_pda(out.read_text())
     assert validate(p).is_valid
     assert write_pda(p) == out.read_text()
+
+
+def test_the_cli_runs_as_a_process(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "pdakit.cli", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+
+    built = run("build", "--family", "trivial", "-o", "t.pda")
+    assert (built.returncode, built.stderr) == (0, "")
+    shown = run("params", "t.pda")
+    assert (shown.returncode, shown.stdout, shown.stderr) == (0, "K=2 F=2 Z=1 S=1 g=1 M/N=1/2 R=1/2\n", "")
+    refused = run("simulate", "t.pda", "--files", "0")
+    assert (refused.returncode, refused.stdout, refused.stderr) == (2, "", "error: --files must be at least 1\n")

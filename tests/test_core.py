@@ -111,6 +111,15 @@ def test_grid_rows_are_stored_as_tuples():
     assert hash(p) == hash(PdaArray([[None, 1], [1, None]]))
 
 
+def test_the_legend_is_a_copy_of_the_callers_mapping():
+    source = {1: "x"}
+    p = PdaArray([[None, 1], [1, None]], legend=source)
+    source.clear()
+    source[7] = "y"  # after construction, the caller's mapping no longer fits S = 1
+    assert p.legend == {1: "x"} and list(p.legend) == [1]
+    assert type(p.legend) is dict
+
+
 def _reference_grid_violations(p: PdaArray) -> list[Violation]:
     """The grid scan with a corner list built for every pair of unequal rows and columns."""
     violations: list[Violation] = []
@@ -247,6 +256,8 @@ def test_construction_rejects_malformed():
         PdaArray([[0]])
     with pytest.raises(PdaError):
         PdaArray([[1, 3]])  # color 2 missing
+    with pytest.raises(PdaError, match="^legend keys must be exactly the colors present$"):
+        PdaArray([[None, 1], [1, None]], legend={2: "x"})
 
 
 @pytest.mark.parametrize(

@@ -316,11 +316,15 @@ def test_packet_ints_caches_nothing_for_a_bad_file_or_count(i, count):
     assert lib.packet_ints(2, 4) == tuple(b"wxyz")
 
 
-def test_verify_roundtrip_rejects_files_that_do_not_split_into_f_packets(example1):
-    lib = FileLibrary(files=(b"\x00" * 5, b"\x01" * 5))
-    message = "^cannot take packet 1 of 4 from file 1: the library has 2 files of 5 bytes$"
-    with pytest.raises(SchemeError, match=message):
-        verify_roundtrip(example1, lib, (1, 2, 1, 2))
+def test_verify_roundtrip_rejects_files_that_do_not_split_into_f_packets():
+    """With the one text that place and deliver raise for the same library."""
+    p, lib, demand = trivial_pda(), FileLibrary(files=(b"abc", b"xyz")), (1, 2)
+    messages = []
+    for run in (lambda: place(p, lib), lambda: deliver(p, lib, demand), lambda: verify_roundtrip(p, lib, demand)):
+        with pytest.raises(SchemeError) as info:
+            run()
+        messages.append(str(info.value))
+    assert messages == ["file length 3 is not divisible by F=2"] * 3
 
 
 def test_random_library_and_demands_are_deterministic():
