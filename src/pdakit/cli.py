@@ -19,6 +19,7 @@ from .core import (
     InvalidPdaError,
     PdaArray,
     PdaError,
+    _echo,
     equivalent,
     params,
     read_pda,
@@ -131,11 +132,11 @@ def _demands_for(p: PdaArray, args) -> Iterable[tuple[int, ...]]:
         raise UsageError("--demand and --exhaustive are mutually exclusive")
     if args.demand is not None:
         if not _DEMAND_RE.fullmatch(args.demand):
-            raise UsageError(f"bad --demand {args.demand!r}: expected comma-separated ASCII decimal integers")
+            raise UsageError(f"bad --demand {_echo(args.demand)}: expected comma-separated ASCII decimal integers")
         try:
             return [tuple(int(tok) for tok in args.demand.split(","))]
         except ValueError as exc:  # a token longer than int() converts
-            raise UsageError(f"bad --demand {args.demand!r}: {exc}") from exc
+            raise UsageError(f"bad --demand {_echo(args.demand)}: {exc}") from exc
     if args.exhaustive or args.files == 1 or (p.K <= 12 and args.files**p.K <= 4096):  # N^K <= 4096 (2^13 > 4096)
         return scheme.exhaustive_demands(args.files, p.K)
     return scheme.iter_random_demands(args.files, p.K, 200, args.seed)

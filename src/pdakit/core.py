@@ -32,6 +32,17 @@ Entry = Optional[int]
 
 STAR_TOKEN = "*"
 
+# Characters of an input token or argument that an error message repeats.
+ECHO_WIDTH = 40
+
+
+def _echo(text: str) -> str:
+    """repr(text) for an error message; past ECHO_WIDTH characters, the repr of its
+    first ECHO_WIDTH and "...", then its length, so the message stays short."""
+    if len(text) <= ECHO_WIDTH:
+        return repr(text)
+    return f"{text[:ECHO_WIDTH] + '...'!r} ({len(text)} characters)"
+
 
 class PdaError(ValueError):
     """Base class for PDA construction, validation, and I/O errors."""
@@ -532,10 +543,11 @@ def read_pda(text: str) -> PdaArray:
             elif _INT_RE.match(tok):
                 value = _parse_int(tok, lineno, pos)
                 if value > S:
-                    raise PdaFormatError(f"color {value} exceeds declared S={S}", lineno, pos)
+                    color = tok if len(tok) <= ECHO_WIDTH else f"of {len(tok)} digits"
+                    raise PdaFormatError(f"color {color} exceeds declared S={S}", lineno, pos)
                 row.append(value)
             else:
-                raise PdaFormatError(f"bad token {tok!r}", lineno, pos)
+                raise PdaFormatError(f"bad token {_echo(tok)}", lineno, pos)
             pos += len(tok) + 1
         grid.append(tuple(row))
 

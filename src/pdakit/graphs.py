@@ -8,16 +8,20 @@ makes the checker here a second, independent oracle for the grid validator.
 
 The checker scans bipartite graphs only, as every array's coloring is one; a
 tensor factor is checked on its split into the "row" and "col" vertices that
-``as_general_graph`` tags.  Labels become positions once, at construction,
-and every scan reads the index kept by that pass: edges row-major in the
-declared order of the two sides.  Strength witnesses, the degree witness and
-the array built from a coloring all follow that order, so none depends on set
-iteration or hashing.
+``as_general_graph`` tags.  A bipartite graph holds a position index, not its
+labels: edges row-major in the declared order of the two sides, each with the
+position of its color in a palette kept in order of first appearance.  The
+labelled constructor maps label triples to positions once, ``pda_to_coloring``
+builds the index straight from the grid, and ``triples`` is derived from the
+index on first read.  Every scan reads the index.  Strength witnesses, the
+degree witness and the array built from a coloring all follow its order, so
+none depends on set iteration or hashing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Hashable, Iterable
 
@@ -54,33 +58,36 @@ def _require_strong(g: ColoredBipartiteGraph) -> None:
         raise NotStrongError(report)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ColoredBipartiteGraph:
-    """Triple system over an ordered row side and column side.
+    """Edge-colored bipartite graph over an ordered row side and column side.
 
-    ``triples`` holds (row-vertex, column-vertex, color).  At most one triple
-    per vertex pair; every color is declared by appearing in a triple.  The
-    side lists fix the row/column order of the PDA.  Labels become positions
-    once, in the pass that checks them at construction, and every scan reads
-    that index, never the labels: ``_edges``, the (row, column, color index)
-    triples in row-major order, and ``_palette``, the colors in order of first
-    appearance.  No verdict is kept: each ``is_strong_coloring`` call scans.
+    Its content is a position index: ``_edges``, the (row, column, color)
+    positions of its edges in row-major order, and ``_palette``, its colors in
+    order of first appearance.  The sides fix the row/column order of the
+    PDA, and every scan reads the index, never the labels.  ``triples``, the
+    (row-vertex, column-vertex, color) label triples, is derived from the
+    index on first read, as an array's ``color_cells`` is from its cell index.
+    ``ColoredBipartiteGraph(left, right, triples)`` builds the index from
+    triples: at most one per vertex pair, each endpoint declared, and each
+    color declared by appearing in one.  No verdict is kept: each
+    ``is_strong_coloring`` call scans.
     """
 
     left: tuple[Label, ...]
     right: tuple[Label, ...]
-    triples: frozenset[tuple[Label, Label, Label]]
-    _edges: list[tuple[int, int, int]] = field(init=False, repr=False, compare=False)
-    _palette: tuple[Label, ...] = field(init=False, repr=False, compare=False)
+    _edges: tuple[tuple[int, int, int], ...]
+    _palette: tuple[Label, ...]
 
-    def __post_init__(self):
-        row = {l: j for j, l in enumerate(self.left)}
-        col = {r: k for k, r in enumerate(self.right)}
-        if len(row) != len(self.left) or len(col) != len(self.right):
+    def __init__(self, left: tuple[Label, ...], right: tuple[Label, ...],
+                 triples: Iterable[tuple[Label, Label, Label]]):
+        row = {l: j for j, l in enumerate(left)}
+        col = {r: k for k, r in enumerate(right)}
+        if len(row) != len(left) or len(col) != len(right):
             raise GraphError("duplicate vertex label within a side")
         width = len(col)
         colored: dict[int, Label] = {}
-        for l, r, s in self.triples:
+        for l, r, s in triples:
             if l not in row or r not in col:
                 raise GraphError(f"triple endpoint ({l!r}, {r!r}) not among declared vertices")
             key = row[l] * width + col[r]
@@ -90,8 +97,27 @@ class ColoredBipartiteGraph:
         # Keys are unique, so sorting never compares colors.
         palette: dict[Label, int] = {}
         edges = [(key // width, key % width, palette.setdefault(s, len(palette))) for key, s in sorted(colored.items())]
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_palette", tuple(palette))
+        self._set_index(left, right, edges, tuple(palette))
+
+    @classmethod
+    def _of_index(cls, left, right, edges, palette) -> ColoredBipartiteGraph:
+        """A graph straight from its index, which the caller built row-major and in palette order."""
+        g = object.__new__(cls)
+        g._set_index(left, right, edges, palette)
+        return g
+
+    def _set_index(self, left, right, edges, palette) -> None:
+        for name, value in (("left", left), ("right", right), ("_edges", tuple(edges)), ("_palette", palette)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def triples(self) -> frozenset[tuple[Label, Label, Label]]:
+        """(row-vertex, column-vertex, color) per edge; built from the index on first read."""
+        left, right, palette = self.left, self.right, self._palette
+        return frozenset((left[j], right[k], palette[c]) for j, k, c in self._edges)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(left={self.left!r}, right={self.right!r}, triples={self.triples!r})"
 
     @property
     def colors(self) -> frozenset[Label]:
@@ -127,9 +153,10 @@ class ColoredGraph:
 
 
 def _strong_violations_bipartite(g: ColoredBipartiteGraph) -> list[Violation]:
-    by_color: list[list[tuple[int, int]]] = [[] for _ in g._palette]
-    for j, k, c in g._edges:
-        by_color[c].append((j, k))
+    # Each color's own edge tuples, row-major.
+    by_color: list[list[tuple[int, int, int]]] = [[] for _ in g._palette]
+    for edge in g._edges:
+        by_color[edge[2]].append(edge)
     # Each row's neighbours as a set of column positions.  Sets, not bitmasks
     # over the columns: a mask costs a word per 30 columns at every edge, so a
     # wide graph's scan would grow with edges times width.
@@ -145,11 +172,11 @@ def _strong_violations_bipartite(g: ColoredBipartiteGraph) -> list[Violation]:
         # pairs, to name the witnesses.
         if len(edges) < 2:
             continue
-        ends = {k for _, k in edges}
-        if len(ends) == len(edges) and all(len(ends.intersection(adjacent[j])) == 1 for j, _ in edges):
+        ends = {k for _, k, _ in edges}
+        if len(ends) == len(edges) and all(len(ends.intersection(adjacent[j])) == 1 for j, _, _ in edges):
             continue
-        for i, (j1, k1) in enumerate(edges):
-            for j2, k2 in edges[i + 1:]:
+        for i, (j1, k1, _) in enumerate(edges):
+            for j2, k2, _ in edges[i + 1:]:
                 if j1 == j2 or k1 == k2:
                     kind = "shared-vertex"
                     detail = f"same-colored edges meet at {(left[j1] if j1 == j2 else right[k1])!r}"
@@ -181,16 +208,23 @@ def is_strong_coloring(g: ColoredBipartiteGraph) -> ValidationReport:
 
 
 def pda_to_coloring(p: PdaArray) -> ColoredBipartiteGraph:
-    """View an array as a colored bipartite graph: rows 1..F, columns 1'..K'."""
+    """View an array as a colored bipartite graph: rows 1..F, columns 1'..K'.
+
+    One row-major walk of the grid builds the graph's index, colors numbered
+    by first appearance.  It never reads the array's colored-cell index, so
+    the graph oracle shares no cell bookkeeping with the grid oracle.
+    """
+    columns = tuple(range(p.K))  # a tuple, so selecting from it makes no int objects
+    palette: dict[Label, int] = {}
+    # Colors are >= 1, so each row selects its own colored cells and their columns.
+    edges = [
+        (j, k, palette.setdefault(e, len(palette)))
+        for j, row in enumerate(p.grid)
+        for k, e in zip(compress(columns, row), filter(None, row))
+    ]
     left = tuple(range(1, p.F + 1))
     right = tuple(f"{k}'" for k in range(1, p.K + 1))
-    # Colors are >= 1, so each row selects its own colored cells and their columns.
-    triples = frozenset(
-        (j, r, e)
-        for j, row in zip(left, p.grid)
-        for r, e in zip(compress(right, row), filter(None, row))
-    )
-    return ColoredBipartiteGraph(left, right, triples)
+    return ColoredBipartiteGraph._of_index(left, right, edges, tuple(palette))
 
 
 def coloring_to_pda(g: ColoredBipartiteGraph) -> PdaArray:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
+from typing import Iterator
 
 import pytest
 
-from pdakit import core, graphs
+from pdakit import cli, core, graphs
 from pdakit.combinators import cycle_product, star_product
 from pdakit.core import PdaArray
 from pdakit.families import (
@@ -29,6 +31,32 @@ STRIP_ROWS = [
     [None, 1, None, 2],
     [1, None, 2, None],
 ]
+
+
+FAMILY_N_MAX = 8
+
+
+def family_params(name: str) -> Iterator[tuple[int, ...]]:
+    """The flag values `pdakit build --family <name>` is tried with in the family corpora:
+    every n <= FAMILY_N_MAX for a subset family, m <= 40 for the star, out-of-range values included."""
+    flags = cli.FAMILIES[name].flags
+    if flags == ():
+        yield ()
+    elif flags == ("m",):
+        yield from ((m,) for m in range(-1, 41))
+    else:
+        for n in range(FAMILY_N_MAX + 1):
+            for a, b in itertools.product(range(-1, n + 2), repeat=2):
+                if len(flags) == 3:
+                    yield n, a, b
+                else:
+                    yield from ((n, a, b, t) for t in range(-1, b + 2))
+
+
+def build_family(name: str, values: tuple[int, ...]) -> PdaArray:
+    """The array `pdakit build --family <name>` writes for these flag values."""
+    built = cli.FAMILIES[name].build(*values)
+    return built if isinstance(built, PdaArray) else coloring_to_pda(built)
 
 
 def _roundtrip_catalog() -> list[tuple[PdaArray, int]]:

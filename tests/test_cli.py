@@ -483,6 +483,38 @@ def test_simulate_refuses_a_demand_token_longer_than_int_converts(ex1_file, caps
     assert err.startswith("error: bad --demand ") and "Traceback" not in err
 
 
+# Bytes of stderr a usage or format error may take whatever the length of the text it echoes.
+ECHO_BOUND_BYTES = 512
+
+
+@given(
+    piece=st.text(st.characters(codec="utf-8", exclude_categories=("Cs", "Zs", "Zl", "Zp", "Cc")), min_size=1, max_size=4),
+    repeats=st.integers(min_value=1, max_value=25_000),
+)
+@settings(max_examples=40, deadline=None)
+def test_over_long_tokens_and_demands_keep_stderr_short(piece, repeats, tmp_path_factory):
+    text = piece * repeats
+    folder = tmp_path_factory.mktemp("echo")
+    (folder / "token.pda").write_text(f"pda v1\nK=2 F=1 Z=0 S=1\n1 {text}\n", encoding="utf-8")
+    (folder / "ex1.pda").write_text(EX1_TEXT)
+    simulate = ["simulate", str(folder / "ex1.pda"), "--files", "2"]
+    # The last demand matches the pattern and fails int() instead, where int() has a limit.
+    for argv in (["validate", str(folder / "token.pda")], [*simulate, f"--demand={text}"],
+                 [*simulate, f"--demand={'9' * 100_000},1"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) in (0, 1, 2)
+        assert len(err.getvalue().encode()) < ECHO_BOUND_BYTES, (argv[0], len(text))
+
+
+def test_an_over_long_demand_is_echoed_clipped_with_its_length(ex1_file, capsys):
+    assert main(["simulate", ex1_file, "--files", "2", "--demand", "x" * 5000]) == 2
+    clipped = "x" * core.ECHO_WIDTH + "..."
+    assert capsys.readouterr().err == (
+        f"error: bad --demand {clipped!r} (5000 characters): expected comma-separated ASCII decimal integers\n"
+    )
+
+
 def test_simulate_usage_errors(ex1_file):
     assert main(["simulate", ex1_file, "--files", "0"]) == 2
     assert main(["simulate", ex1_file, "--files", "2", "--demand", "1,2", "--exhaustive"]) == 2

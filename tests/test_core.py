@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from pdakit import core
 from pdakit.combinators import cycle_product, star_product
 from pdakit.core import (
+    ECHO_WIDTH,
     EquivalenceResult,
     InvalidPdaError,
     PdaArray,
@@ -649,6 +650,19 @@ def test_read_reports_bad_token_position():
         read_pda(text)
     assert info.value.line == 3
     assert info.value.column == 3
+
+
+def test_read_clips_a_bad_token_or_color_past_the_echo_width():
+    def message(tok: str) -> str:
+        with pytest.raises(PdaFormatError) as info:
+            read_pda(f"pda v1\nK=2 F=1 Z=0 S=1\n1 {tok}\n")
+        return str(info.value)
+
+    at_width = "x" * ECHO_WIDTH
+    assert message(at_width) == f"line 3, column 3: bad token {at_width!r}"
+    assert message("x" * 100_000) == f"line 3, column 3: bad token {at_width + '...'!r} (100000 characters)"
+    assert message("9" * ECHO_WIDTH) == f"line 3, column 3: color {'9' * ECHO_WIDTH} exceeds declared S=1"
+    assert message("9" * 4000) == "line 3, column 3: color of 4000 digits exceeds declared S=1"
 
 
 def test_read_rejects_color_gap():

@@ -24,47 +24,27 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterator
 
+from conftest import STRIP_ROWS, build_family, family_params
+
 from pdakit import cli
 from pdakit.analytics import ParameterError
 from pdakit.combinators import MODES, CombineError, combine
-from pdakit.core import PdaArray, PdaError, read_pda, write_pda
-from pdakit.graphs import GraphError, coloring_to_pda
+from pdakit.core import PdaArray, PdaError, write_pda
+from pdakit.graphs import GraphError
 
 GOLDEN = Path(__file__).parent / "golden" / "corpus.txt"
 
 ERRORS = (ParameterError, CombineError, PdaError, GraphError)
 
-N_MAX = 8  # subset families for every n <= N_MAX, out-of-range parameters included
-
-
-def _family_params(name: str) -> Iterator[tuple[int, ...]]:
-    flags = cli.FAMILIES[name].flags
-    if flags == ():
-        yield ()
-    elif flags == ("m",):
-        yield from ((m,) for m in range(-1, 41))
-    else:
-        for n in range(N_MAX + 1):
-            for a, b in itertools.product(range(-1, n + 2), repeat=2):
-                if len(flags) == 3:
-                    yield n, a, b
-                else:
-                    yield from ((n, a, b, t) for t in range(-1, b + 2))
-
-
-def _built(name: str, values: tuple[int, ...]) -> PdaArray:
-    built = cli.FAMILIES[name].build(*values)
-    return built if isinstance(built, PdaArray) else coloring_to_pda(built)
-
 
 def _bases() -> dict[str, PdaArray]:
     """Five valid bases: two of them share S = 2, so same-colors joins more than a base with itself."""
     return {
-        "trivial": _built("trivial", ()),
-        "strip": read_pda("pda v1\nK=4 F=2 Z=1 S=2\n* 1 * 2\n1 * 2 *\n"),
-        "star(2)": _built("star", (2,)),
-        "disjoint-union(4,1,2)": _built("disjoint-union", (4, 1, 2)),
-        "intersection-t(4,2,2,1)": _built("intersection-t", (4, 2, 2, 1)),
+        "trivial": build_family("trivial", ()),
+        "strip": PdaArray(STRIP_ROWS),
+        "star(2)": build_family("star", (2,)),
+        "disjoint-union(4,1,2)": build_family("disjoint-union", (4, 1, 2)),
+        "intersection-t(4,2,2,1)": build_family("intersection-t", (4, 2, 2, 1)),
     }
 
 
@@ -81,7 +61,7 @@ def _mode_cases(mode: str) -> Iterator[tuple[str, Callable[[], PdaArray]]]:
 def corpus() -> Iterator[tuple[str, Iterator[tuple[str, Callable[[], PdaArray]]]]]:
     """(group, its (key, build) cases): each family by name, then each combine mode."""
     for name in cli.FAMILIES:
-        yield name, ((f"{name}{values}", lambda v=values, n=name: _built(n, v)) for values in _family_params(name))
+        yield name, ((f"{name}{values}", lambda v=values, n=name: build_family(n, v)) for values in family_params(name))
     for mode in MODES:
         yield f"combine {mode}", _mode_cases(mode)
 

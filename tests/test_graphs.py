@@ -5,16 +5,17 @@ import random
 import subprocess
 import sys
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import _one_fault_classes, _roundtrip_catalog, _star_to_color
+from conftest import _one_fault_classes, _roundtrip_catalog, _star_to_color, build_family, family_params
 
 import pdakit
-from pdakit import graphs
-from pdakit.analytics import cycle_law
+from pdakit import cli, graphs
+from pdakit.analytics import ParameterError, cycle_law
 from pdakit.combinators import cycle_product, star_product
 from pdakit.core import PdaArray, ValidationReport, Violation, params, validate, write_pda
 from pdakit.families import disjoint_union_coloring, restricted_combined_family, star_pda, trivial_pda
@@ -257,12 +258,30 @@ def _reference_strong_violations(g: ColoredBipartiteGraph) -> list[Violation]:
     return violations
 
 
+def _pda_to_coloring_by_triples(p: PdaArray) -> ColoredBipartiteGraph:
+    """The build pda_to_coloring replaced: a frozenset of (row, column, color) label
+    triples, which the labelled constructor maps back to positions and sorts."""
+    left = tuple(range(1, p.F + 1))
+    right = tuple(f"{k}'" for k in range(1, p.K + 1))
+    triples = frozenset(
+        (j, r, e)
+        for j, row in zip(left, p.grid)
+        for r, e in zip(compress(right, row), filter(None, row))
+    )
+    return ColoredBipartiteGraph(left, right, triples)
+
+
 def _assert_strength_scan_matches_reference(p: PdaArray) -> list[Violation]:
-    """Assert p's coloring equal to a walk of the grid and equal strength reports (kind,
+    """Assert p's coloring equal to the triple build (graph, hash, index and strength report)
+    and to a walk of the grid, and its strength report equal to the pair walk's (kind,
     witness, detail and order); return the violations."""
-    g = pda_to_coloring(p)
+    g, by_triples = pda_to_coloring(p), _pda_to_coloring_by_triples(p)
+    assert g == by_triples and hash(g) == hash(by_triples)
+    assert (g.left, g.right) == (by_triples.left, by_triples.right)
+    assert g._edges == by_triples._edges and g._palette == by_triples._palette
+    assert str(is_strong_coloring(g)) == str(is_strong_coloring(by_triples))
     walked = {(j + 1, f"{k + 1}'", e) for j, row in enumerate(p.grid) for k, e in enumerate(row) if e is not None}
-    assert g.triples == walked
+    assert g.triples == by_triples.triples == walked
     got = graphs._strong_violations_bipartite(g)
     assert got == _reference_strong_violations(g)
     return got
@@ -307,8 +326,21 @@ def test_strength_scan_matches_the_reference_on_large_and_one_fault_classes(star
     }
 
 
+def test_strength_scan_matches_the_reference_on_the_family_corpora():
+    built = 0
+    for name in cli.FAMILIES:
+        for values in family_params(name):
+            try:
+                p = build_family(name, values)
+            except ParameterError:
+                continue
+            assert not _assert_strength_scan_matches_reference(p), (name, values)
+            built += 1
+    assert built == 685  # every legal case of the five families
+
+
 @given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_strength_scan_matches_the_reference_on_small_grids(seed):
     _assert_strength_scan_matches_reference(random_structural_array(random.Random(seed)))
 

@@ -9,6 +9,9 @@ import shlex
 from pathlib import Path
 
 from pdakit import cli
+from pdakit.core import PdaArray
+from pdakit.families import restricted_combined_family
+from pdakit.graphs import pda_to_coloring
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -38,3 +41,15 @@ def test_readme_cli_examples_exit_0_and_params_prints_its_comment(tmp_path, monk
             assert re.fullmatch(pattern, out.getvalue().strip()), (line, out.getvalue())
             checked += 1
     assert checked == 1
+
+
+def test_readme_claim_pda_to_coloring_never_reads_the_array_index():
+    assert "`pda_to_coloring` walks the grid on its own and never reads the array's\nindex" in README.read_text()
+    p = restricted_combined_family(5, 1, 2, 1)
+    blind = PdaArray(p.grid)
+    # Any read of the colored-cell index or the star counts now fails.
+    object.__setattr__(blind, "_classes", None)
+    object.__setattr__(blind, "_stars", None)
+    g = pda_to_coloring(blind)
+    assert g == pda_to_coloring(p) and g.triples == pda_to_coloring(p).triples
+    assert "color_cells" not in vars(blind) and "star_rows" not in vars(blind)
