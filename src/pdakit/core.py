@@ -44,6 +44,12 @@ def _echo(text: str) -> str:
     return f"{text[:ECHO_WIDTH] + '...'!r} ({len(text)} characters)"
 
 
+def _echo_number(n: int) -> str:
+    """str(n) for an error message; past ECHO_WIDTH digits, its digit count instead."""
+    digits = str(n)
+    return digits if len(digits) <= ECHO_WIDTH else f"<{len(digits)} digits>"
+
+
 class PdaError(ValueError):
     """Base class for PDA construction, validation, and I/O errors."""
 
@@ -237,9 +243,22 @@ class PdaArray:
         return users, gap
 
     def __str__(self) -> str:
-        return "\n".join(
-            " ".join(STAR_TOKEN if e is None else str(e) for e in row) for row in self.grid
-        )
+        K = self.K
+        # Decided once per array: counting a row's stars costs more per colored
+        # cell than the slicing below saves on a dense row.
+        if 8 * sum(self._stars) < 7 * self.F * K:
+            return "\n".join(" ".join([STAR_TOKEN if e is None else str(e) for e in row]) for row in self.grid)
+        # At least 7/8 stars: each line is the all-star line with its colors written over their stars.
+        columns, stars = tuple(range(K)), " ".join([STAR_TOKEN] * K)
+        lines = []
+        for row in self.grid:
+            pieces, at = [], 0
+            for k, e in zip(compress(columns, row), filter(None, row)):
+                pieces += stars[at : 2 * k], str(e)
+                at = 2 * k + 1
+            pieces.append(stars[at:])
+            lines.append("".join(pieces))
+        return "\n".join(lines)
 
 
 def validate(p: PdaArray) -> ValidationReport:
@@ -468,6 +487,9 @@ def equivalent(p1: PdaArray, p2: PdaArray, budget: int = 1_000_000) -> Equivalen
 
 _HEADER_RE = re.compile(r"^K=([0-9]+) F=([0-9]+) Z=([0-9]+) S=([0-9]+)$")
 _INT_RE = re.compile(r"^[1-9][0-9]*$")
+# A whole grid line: tokens `*` or ASCII colors without a leading zero, single-spaced.
+# Each repeat starts at a space, so a failing line backtracks in linear time.
+_LINE_RE = re.compile(r"(?:\*|[1-9][0-9]*)(?: (?:\*|[1-9][0-9]*))*")
 
 
 def _parse_int(digits: str, line: int, column: int) -> int:
@@ -487,7 +509,9 @@ def write_pda(p: PdaArray) -> str:
     The header Z records the star count of the first column (equal across
     columns once the array validates).  Colors are written exactly as stored;
     construction already guarantees they are dense in 1..S, and graph
-    conversion assigns them in first-appearance row-major order.
+    conversion assigns them in first-appearance row-major order.  An array
+    that is at least 7/8 stars is written as slices of its all-star line
+    around the colors, so it converts only its colors to text.
     """
     header = f"K={p.K} F={p.F} Z={p.star_count(0)} S={p.S}"
     return f"pda v1\n{header}\n{p}\n"
@@ -501,13 +525,73 @@ def _lines(text: str) -> Iterator[str]:
         start = end + 1
 
 
+def _row(line: str, K: int, S: int) -> Optional[tuple[Entry, ...]]:
+    """The row of a well-formed grid line, decided with C-level string operations;
+    None for a line that _walk must name the first fault of."""
+    if line.count(" ") != K - 1 or not _LINE_RE.fullmatch(line):
+        return None
+    try:
+        if 16 * (K - line.count(STAR_TOKEN)) <= K:
+            # At most 1/16 colors (past that, the per-color find and count below
+            # cost more than the comprehension): with the stars gone, a color's
+            # column is the number of spaces before it, so Python steps only
+            # through the colors.  The line is ASCII, and bytes drop its stars
+            # several times faster than str.replace.
+            digits = line.encode().translate(None, b"*")
+            tokens = digits.split()
+            colors = list(map(int, tokens))
+            row: list[Entry] = [None] * K
+            k = end = 0
+            for tok, color in zip(tokens, colors):
+                start = digits.find(tok, end)
+                k += digits.count(b" ", end, start)
+                row[k] = color
+                end = start + len(tok)
+        else:
+            row = [None if tok == STAR_TOKEN else int(tok) for tok in line.split(" ")]
+            colors = filter(None, row)
+    except ValueError:  # a color longer than int() converts
+        return None
+    return tuple(row) if max(colors, default=0) <= S else None
+
+
+def _walk(line: str, lineno: int, K: int, S: int) -> tuple[Entry, ...]:
+    """Parse a grid line token by token, raising PdaFormatError at its first fault."""
+    tokens = line.split(" ") if line else []
+    if "" in tokens:
+        at = line.index("  ") + 2 if "  " in line else (1 if line.startswith(" ") else len(line) + 1)
+        raise PdaFormatError("tokens must be separated by single spaces", lineno, at)
+    if len(tokens) != K:
+        raise PdaFormatError(f"expected {_echo_number(K)} tokens, found {len(tokens)}", lineno, 1)
+    row: list[Entry] = []
+    pos = 1
+    for tok in tokens:
+        if tok == STAR_TOKEN:
+            row.append(None)
+        elif _INT_RE.match(tok):
+            value = _parse_int(tok, lineno, pos)
+            if value > S:
+                color = tok if len(tok) <= ECHO_WIDTH else f"of {len(tok)} digits"
+                raise PdaFormatError(f"color {color} exceeds declared S={_echo_number(S)}", lineno, pos)
+            row.append(value)
+        else:
+            raise PdaFormatError(f"bad token {_echo(tok)}", lineno, pos)
+        pos += len(tok) + 1
+    return tuple(row)
+
+
 def read_pda(text: str) -> PdaArray:
     """Parse the text format, checking the header against measured values.
 
     Raises PdaFormatError with a 1-based line/column for the first fault, and
     no other error: bad magic, malformed header, wrong token (integers are
     ASCII digits), an integer too long to convert, missing trailing newline,
-    header/measurement mismatch, or a gap in the color range.
+    header/measurement mismatch, or a gap in the color range.  A message
+    names a header number of more than ECHO_WIDTH digits by its digit count.
+
+    Each grid line is checked whole, by one match of the token grammar and
+    a count of its spaces, and then only its colors are converted; a line
+    that fails the check is walked token by token to name its first fault.
     """
     if not text.endswith("\n"):
         lines_so_far = text.count("\n") + 1
@@ -525,38 +609,19 @@ def read_pda(text: str) -> PdaArray:
         raise PdaFormatError("expected 'K=<int> F=<int> Z=<int> S=<int>'", 2, 1)
     K, F, Z, S = (_parse_int(m[i], 2, m.start(i) + 1) for i in range(1, 5))
     if count != 2 + F:
-        raise PdaFormatError(f"expected {F} grid lines, found {count - 2}", count + 1, 1)
+        raise PdaFormatError(f"expected {_echo_number(F)} grid lines, found {count - 2}", count + 1, 1)
 
     grid: list[tuple[Entry, ...]] = []
     for lineno, line in enumerate(lines, start=3):
-        tokens = line.split(" ") if line else []
-        if "" in tokens:
-            at = line.index("  ") + 2 if "  " in line else (1 if line.startswith(" ") else len(line) + 1)
-            raise PdaFormatError("tokens must be separated by single spaces", lineno, at)
-        if len(tokens) != K:
-            raise PdaFormatError(f"expected {K} tokens, found {len(tokens)}", lineno, 1)
-        row: list[Entry] = []
-        pos = 1
-        for tok in tokens:
-            if tok == STAR_TOKEN:
-                row.append(None)
-            elif _INT_RE.match(tok):
-                value = _parse_int(tok, lineno, pos)
-                if value > S:
-                    color = tok if len(tok) <= ECHO_WIDTH else f"of {len(tok)} digits"
-                    raise PdaFormatError(f"color {color} exceeds declared S={S}", lineno, pos)
-                row.append(value)
-            else:
-                raise PdaFormatError(f"bad token {_echo(tok)}", lineno, pos)
-            pos += len(tok) + 1
-        grid.append(tuple(row))
+        row = _row(line, K, S)
+        grid.append(_walk(line, lineno, K, S) if row is None else row)
 
     try:
         p = PdaArray(grid)
     except PdaError as exc:
         raise PdaFormatError(str(exc), 3, 1) from exc
     if p.S != S:
-        raise PdaFormatError(f"header S={S} but {p.S} colors present", 2, 1)
+        raise PdaFormatError(f"header S={_echo_number(S)} but {p.S} colors present", 2, 1)
     if p.star_count(0) != Z:
-        raise PdaFormatError(f"header Z={Z} but column 1 has {p.star_count(0)} stars", 2, 1)
+        raise PdaFormatError(f"header Z={_echo_number(Z)} but column 1 has {p.star_count(0)} stars", 2, 1)
     return p

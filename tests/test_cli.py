@@ -496,11 +496,17 @@ def test_over_long_tokens_and_demands_keep_stderr_short(piece, repeats, tmp_path
     text = piece * repeats
     folder = tmp_path_factory.mktemp("echo")
     (folder / "token.pda").write_text(f"pda v1\nK=2 F=1 Z=0 S=1\n1 {text}\n", encoding="utf-8")
+    # Each header field over-long in turn, up to the 4,300 digits int() converts.
+    digits = "9" * min(repeats, 4300)
+    headers = [f"K={digits} F=1 Z=0 S=1", f"K=1 F={digits} Z=0 S=1", f"K=1 F=1 Z={digits} S=1",
+               f"K=1 F=1 Z=0 S={digits}"]
+    for name, header in zip("KFZS", headers):
+        (folder / f"{name}.pda").write_text(f"pda v1\n{header}\n1\n")
     (folder / "ex1.pda").write_text(EX1_TEXT)
     simulate = ["simulate", str(folder / "ex1.pda"), "--files", "2"]
+    validate = [["validate", str(folder / f"{name}.pda")] for name in ("token", *"KFZS")]
     # The last demand matches the pattern and fails int() instead, where int() has a limit.
-    for argv in (["validate", str(folder / "token.pda")], [*simulate, f"--demand={text}"],
-                 [*simulate, f"--demand={'9' * 100_000},1"]):
+    for argv in (*validate, [*simulate, f"--demand={text}"], [*simulate, f"--demand={'9' * 100_000},1"]):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             assert main(argv) in (0, 1, 2)

@@ -665,6 +665,28 @@ def test_read_clips_a_bad_token_or_color_past_the_echo_width():
     assert message("9" * 4000) == "line 3, column 3: color of 4000 digits exceeds declared S=1"
 
 
+@pytest.mark.parametrize(
+    "header, grid, message",
+    [
+        pytest.param("K={} F=1 Z=0 S=1", "1\n", "line 3, column 1: expected {} tokens, found 1", id="K"),
+        pytest.param("K=1 F={} Z=0 S=1", "1\n", "line 4, column 1: expected {} grid lines, found 1", id="F"),
+        pytest.param("K=1 F=1 Z={} S=1", "1\n", "line 2, column 1: header Z={} but column 1 has 0 stars", id="Z"),
+        pytest.param("K=1 F=1 Z=0 S={}", "1\n", "line 2, column 1: header S={} but 1 colors present", id="S"),
+        pytest.param("K=1 F=1 Z=0 S={}", "1" * 4100 + "\n",
+                     "line 3, column 1: color of 4100 digits exceeds declared S={}", id="S-below-a-color"),
+    ],
+)
+def test_read_names_a_header_number_past_the_echo_width_by_its_digit_count(header, grid, message):
+    def raised(digits: str) -> str:
+        with pytest.raises(PdaFormatError) as info:
+            read_pda(f"pda v1\n{header.format(digits)}\n{grid}")
+        return str(info.value)
+
+    at_width = "9" * ECHO_WIDTH
+    assert raised(at_width) == message.format(at_width)
+    assert raised("9" * 4000) == message.format("<4000 digits>")
+
+
 def test_read_rejects_color_gap():
     text = "pda v1\nK=2 F=1 Z=0 S=3\n1 3\n"
     with pytest.raises(PdaFormatError) as info:
@@ -745,8 +767,163 @@ def random_structural_array(rnd: random.Random) -> PdaArray:
     return PdaArray(rows)
 
 
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=60, deadline=None)
+# Each fault the whole-line check hands to the token walk, with its message: as the
+# token at index 5 of a grid line, or as a change to the line's spacing.
+FAULT_K, FAULT_S = 40, 40
+
+
+def _fault(name: str, tokens: list[str]) -> tuple[str, int, str]:
+    """The grid line with the named fault, its 1-based column and its message."""
+    at = len(" ".join(tokens[:5])) + 2
+    line = " ".join(tokens)
+    if name == "leading-space":
+        return " " + line, 1, "tokens must be separated by single spaces"
+    if name == "trailing-space":
+        return line + " ", len(line) + 2, "tokens must be separated by single spaces"
+    if name == "double-space":
+        return line[: at - 2] + " " + line[at - 2 :], at, "tokens must be separated by single spaces"
+    tok = {"foreign-digit": "\u0661", "above-S": str(FAULT_S + 1), "long-color": "9" * 5000}.get(name, name)
+    message = {"above-S": f"color {tok} exceeds declared S={FAULT_S}",
+               "long-color": "integer of 5000 digits is too long"}.get(name, f"bad token {tok!r}")
+    return " ".join([*tokens[:5], tok, *tokens[6:]]), at, message
+
+
+@pytest.mark.parametrize("shape", ["mostly-star", "dense"])
+@pytest.mark.parametrize(
+    "fault",
+    ["**", "*1", "1*", "0", "01", "1\t", "+1", "1_0", "foreign-digit", "leading-space",
+     "trailing-space", "double-space", "above-S", "long-color"],
+)
+def test_read_hands_each_line_fault_to_the_token_walk(fault, shape):
+    if shape == "mostly-star":  # one color in 40 tokens, so the line's colors are placed into stars
+        tokens = ["*"] * FAULT_K
+        tokens[2] = "7"
+    else:
+        tokens = [str(k + 1) for k in range(FAULT_K)]
+    valid = " ".join(tokens)
+    line, column, message = _fault(fault, tokens)
+    with pytest.raises(PdaFormatError) as info:
+        read_pda(f"pda v1\nK={FAULT_K} F=2 Z=0 S={FAULT_S}\n{valid}\n{line}\n")
+    assert (info.value.line, info.value.column) == (4, column)
+    assert str(info.value) == f"line 4, column {column}: {message}"
+
+
+def _reference_read_pda(text: str) -> PdaArray:
+    """read_pda as a walk of every token of every line: the reference for the whole-line check."""
+    if not text.endswith("\n"):
+        lines_so_far = text.count("\n") + 1
+        last = text.rsplit("\n", 1)[-1]
+        raise PdaFormatError("trailing newline required", lines_so_far, len(last) + 1)
+    count = text.count("\n")
+    lines = core._lines(text)
+    if next(lines) != "pda v1":
+        raise PdaFormatError("expected magic line 'pda v1'", 1, 1)
+    if count < 2:
+        raise PdaFormatError("missing header line", 2, 1)
+    m = core._HEADER_RE.match(next(lines))
+    if not m:
+        raise PdaFormatError("expected 'K=<int> F=<int> Z=<int> S=<int>'", 2, 1)
+    K, F, Z, S = (core._parse_int(m[i], 2, m.start(i) + 1) for i in range(1, 5))
+    if count != 2 + F:
+        raise PdaFormatError(f"expected {F} grid lines, found {count - 2}", count + 1, 1)
+
+    grid = []
+    for lineno, line in enumerate(lines, start=3):
+        tokens = line.split(" ") if line else []
+        if "" in tokens:
+            at = line.index("  ") + 2 if "  " in line else (1 if line.startswith(" ") else len(line) + 1)
+            raise PdaFormatError("tokens must be separated by single spaces", lineno, at)
+        if len(tokens) != K:
+            raise PdaFormatError(f"expected {K} tokens, found {len(tokens)}", lineno, 1)
+        row = []
+        pos = 1
+        for tok in tokens:
+            if tok == core.STAR_TOKEN:
+                row.append(None)
+            elif core._INT_RE.match(tok):
+                value = core._parse_int(tok, lineno, pos)
+                if value > S:
+                    color = tok if len(tok) <= ECHO_WIDTH else f"of {len(tok)} digits"
+                    raise PdaFormatError(f"color {color} exceeds declared S={S}", lineno, pos)
+                row.append(value)
+            else:
+                raise PdaFormatError(f"bad token {core._echo(tok)}", lineno, pos)
+            pos += len(tok) + 1
+        grid.append(tuple(row))
+
+    try:
+        p = PdaArray(grid)
+    except PdaError as exc:
+        raise PdaFormatError(str(exc), 3, 1) from exc
+    if p.S != S:
+        raise PdaFormatError(f"header S={S} but {p.S} colors present", 2, 1)
+    if p.star_count(0) != Z:
+        raise PdaFormatError(f"header Z={Z} but column 1 has {p.star_count(0)} stars", 2, 1)
+    return p
+
+
+def random_text_array(rnd: random.Random) -> PdaArray:
+    """A structural array of up to 300 columns and colors of up to four digits.  Each row
+    is all stars, all colored, or stars at the array's density, drawn from 0..1 in half
+    the draws and from 7/8..1 in the other half: the writer places colors into stars
+    from 7/8 stars on, and the reader from 15/16."""
+    F, K = rnd.randint(1, 6), rnd.randint(1, 300)
+    density = rnd.choice([rnd.random(), 1 - rnd.random() / 8])
+    rows = []
+    for _ in range(F):
+        share = rnd.choice([0.0, 1.0, density, density])
+        rows.append([None if rnd.random() < share else rnd.randint(1, 5000) for _ in range(K)])
+    present = sorted({e for row in rows for e in row if e is not None})
+    dense = {c: i + 1 for i, c in enumerate(present)}
+    return PdaArray([[None if e is None else dense[e] for e in row] for row in rows])
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=150, deadline=None)
 def test_text_roundtrip_for_arbitrary_structural_arrays(seed):
-    p = random_structural_array(random.Random(seed))
-    assert read_pda(write_pda(p)) == p
+    p = random_text_array(random.Random(seed))
+    text = write_pda(p)
+    assert read_pda(text) == p
+    assert text == f"pda v1\nK={p.K} F={p.F} Z={p.star_count(0)} S={p.S}\n" + "".join(
+        " ".join("*" if e is None else str(e) for e in row) + "\n" for row in p.grid
+    )
+
+
+MUTANT_CHARS = ["*", " ", "0", "1", "9", "\t", "+", "-", "_", "x", "\u0661", "\u00b2", "\n", "\r"]
+MUTANT_TOKENS = ["*", "1", "9", "**", "*1", "1*", "0", "01", "-1", "+1", "1_0", "1\t", "1\r", "\u0661",
+                 "\u00b2", "x", "", " ", "9" * 50, LONG]
+
+
+def _mutant(rnd: random.Random, text: str, S: int) -> str:
+    """text with one character, or one token of a grid line, replaced, inserted or deleted."""
+    if rnd.random() < 0.5:
+        at = rnd.randrange(len(text))
+        op = rnd.choice(["replace", "insert", "delete"])
+        char = "" if op == "delete" else rnd.choice(MUTANT_CHARS)
+        return text[:at] + char + text[at + (op != "insert"):]
+    lines = text.split("\n")
+    j = rnd.randrange(2, len(lines) - 1)
+    tokens = lines[j].split(" ")
+    k = rnd.randrange(len(tokens))
+    op = rnd.choice(["replace", "replace", "insert", "delete"])
+    new = [] if op == "delete" else [rnd.choice([*MUTANT_TOKENS, str(S), str(S + 1)])]
+    tokens[k : k + (op != "insert")] = new
+    lines[j] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+def _outcome(read, text: str) -> tuple:
+    try:
+        return ("array", read(text).grid)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=300, deadline=None)
+def test_read_matches_the_token_walk_reference_on_valid_and_mutated_texts(seed):
+    rnd = random.Random(seed)
+    p = random_text_array(rnd)
+    text = write_pda(p)
+    for candidate in [text, *(_mutant(rnd, text, p.S) for _ in range(4))]:
+        assert _outcome(read_pda, candidate) == _outcome(_reference_read_pda, candidate), repr(candidate[:200])
