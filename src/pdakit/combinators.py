@@ -5,18 +5,19 @@ class when clean, a walk of the pairs only in a class that fails), builds the
 composite triple system, and returns a colored graph whose colors are
 structured tuples recording exactly which input colors and vertices
 contributed.  All factors are bipartite, as every array's coloring is; the
-tensor product takes them as general graphs and checks each on the split its
-"row" and "col" vertex tags name.  Converting to an array (coloring_to_pda)
-densifies those tuples to integers and keeps the mapping on the array's
-legend; ``combine`` runs the whole pipeline from arrays to an array.  Outputs
-need not have constant column degree, so the conversion may legitimately fail,
-as it does for the same-colors combination without the nested-pair restriction.
+tensor product takes them as general graphs, checks each on the split its
+"row" and "col" vertex tags name, and builds from those splits.  Converting
+to an array (coloring_to_pda) densifies those tuples to integers and keeps
+the mapping on the array's legend; ``combine`` runs the whole pipeline from
+arrays to an array.  Outputs need not have constant column degree, so the
+conversion may legitimately fail, as it does for the same-colors combination
+without the nested-pair restriction.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .analytics import ParameterError, check_cycle_length, cycle_law, star_law, tensor_law
 from .core import PdaArray, params
@@ -80,6 +81,11 @@ def same_colors_claimed_params(p1: PdaArray, p2: PdaArray) -> tuple[int, int, in
     return len(row_pairs), p1.K, p1.K - len(sharing_cols), p2.S * p2.K
 
 
+def _star_triples(factors: Sequence[Iterable[tuple[Label, Label, Label]]]) -> Iterator[tuple]:
+    """The star rule: zip(*combo) regroups one triple per factor into (row, column, color)."""
+    return (tuple(zip(*combo)) for combo in iproduct(*factors))
+
+
 def star_product(gs: Sequence[ColoredBipartiteGraph]) -> ColoredBipartiteGraph:
     """Coordinatewise product: edge iff edge in every factor, colors tupled.
 
@@ -92,9 +98,7 @@ def star_product(gs: Sequence[ColoredBipartiteGraph]) -> ColoredBipartiteGraph:
         _require_strong(g)
     left = tuple(iproduct(*(g.left for g in gs)))
     right = tuple(iproduct(*(g.right for g in gs)))
-    # zip(*combo) regroups one triple per factor into (row, column, color).
-    triples = frozenset(tuple(zip(*combo)) for combo in iproduct(*(g.triples for g in gs)))
-    return ColoredBipartiteGraph(left, right, triples)
+    return ColoredBipartiteGraph(left, right, _star_triples([g.triples for g in gs]))
 
 
 def tensor_product(c1: ColoredGraph, c2: ColoredGraph) -> ColoredGraph:
@@ -105,23 +109,19 @@ def tensor_product(c1: ColoredGraph, c2: ColoredGraph) -> ColoredGraph:
     the tags ``as_general_graph`` puts on its vertices: a vertex that is not
     ("row", l) or ("col", r) is a ``CombineError``, an edge inside one side (as
     any odd cycle has) a ``GraphError`` from ``split_bipartite``, and each split
-    is checked by the bipartite strength oracle.  Split into its "row" and
-    "col" vertices, it is the star product of the first factor's tagged sides
-    with the second laid over its tagged vertices in both directions.
+    is checked by the bipartite strength oracle.  The product is the star rule
+    over those checked splits: the first's triples (l, r, s) with the second's
+    taken both ways, (l, r, s) and (r, l, s).
     """
+    splits = []
     for c in (c1, c2):
         if untagged := [v for v in c.vertices if not (isinstance(v, tuple) and len(v) == 2 and v[0] in ("row", "col"))]:
             raise CombineError(f"tensor factor vertex {untagged[0]!r} is not tagged 'row' or 'col'")
-        _require_strong(split_bipartite(c, [v for v in c.vertices if v[0] == "row"]))
-    vertices = tuple((u, v) for u in c1.vertices for v in c2.vertices)
-    edges: set[tuple[frozenset, tuple]] = set()
-    for e1, s1 in c1.colored_edges:
-        x1, y1 = tuple(e1)
-        for e2, s2 in c2.colored_edges:
-            x2, y2 = tuple(e2)
-            edges.add((frozenset({(x1, x2), (y1, y2)}), (s1, s2)))
-            edges.add((frozenset({(x1, y2), (y1, x2)}), (s1, s2)))
-    return ColoredGraph(vertices, frozenset(edges))
+        splits.append(split_bipartite(c, [v for v in c.vertices if v[0] == "row"]))
+        _require_strong(splits[-1])
+    both_ways = [t for l, r, s in splits[1].triples for t in ((l, r, s), (r, l, s))]
+    edges = frozenset((frozenset((a, b)), s) for a, b, s in _star_triples([splits[0].triples, both_ways]))
+    return ColoredGraph(tuple((u, v) for u in c1.vertices for v in c2.vertices), edges)
 
 
 def cycle_product(base: ColoredBipartiteGraph, m: int) -> ColoredBipartiteGraph:

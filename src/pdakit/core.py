@@ -87,9 +87,17 @@ class Violation:
         return f"condition {self.condition} at {where}: {self.detail}".rstrip(": ")
 
 
+REPORT_LIMIT = 10  # violations printed per condition
+
+
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of a validity check; valid iff no violations were found."""
+    """Outcome of a validity check; valid iff no violations were found.
+
+    ``violations`` keeps every violation.  Printed, a report shows at most
+    REPORT_LIMIT of each condition in their order, then one "condition X: N
+    more" line per clipped condition, so a message that embeds it stays small.
+    """
 
     violations: tuple[Violation, ...]
 
@@ -100,7 +108,14 @@ class ValidationReport:
     def __str__(self) -> str:
         if self.is_valid:
             return "valid"
-        return "\n".join(str(v) for v in self.violations)
+        seen: Counter[str] = Counter()
+        lines = []
+        for v in self.violations:
+            seen[v.condition] += 1
+            if seen[v.condition] <= REPORT_LIMIT:
+                lines.append(str(v))
+        lines += [f"condition {c}: {n - REPORT_LIMIT} more" for c, n in seen.items() if n > REPORT_LIMIT]
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,14 @@ class ColoredBipartiteGraph:
         return dict(zip(self.right, deg))
 
 
+def _edge_text(e: frozenset[Label], vertices: tuple[Label, ...]) -> str:
+    """An edge as a set display, its endpoints in declared vertex order and any
+    undeclared endpoint last by repr, so a message reads the same under every hash seed."""
+    order = {v: i for i, v in enumerate(vertices)}
+    ends = sorted(e, key=lambda v: (order.get(v, len(order)), repr(v)))
+    return "{" + ", ".join(map(repr, ends)) + "}" if ends else "set()"
+
+
 @dataclass(frozen=True)
 class ColoredGraph:
     """General edge-colored graph: ({u, v}, color) pairs over declared vertices, checked for structure only."""
@@ -144,11 +152,11 @@ class ColoredGraph:
         seen: set[frozenset[Label]] = set()
         for e, _ in self.colored_edges:
             if len(e) != 2:
-                raise GraphError(f"edge {set(e)!r} is not a 2-set (self-loops are not allowed)")
+                raise GraphError(f"edge {_edge_text(e, self.vertices)} is not a 2-set (self-loops are not allowed)")
             if not e <= declared:
-                raise GraphError(f"edge {set(e)!r} uses undeclared vertices")
+                raise GraphError(f"edge {_edge_text(e, self.vertices)} uses undeclared vertices")
             if e in seen:
-                raise GraphError(f"edge {set(e)!r} carries more than one color")
+                raise GraphError(f"edge {_edge_text(e, self.vertices)} carries more than one color")
             seen.add(e)
 
 
@@ -284,5 +292,5 @@ def split_bipartite(g: ColoredGraph, left_vertices: Iterable[Label]) -> ColoredB
         elif v in lset and u not in lset:
             triples.append((v, u, s))
         else:
-            raise GraphError(f"edge {set(e)!r} does not cross the requested split")
+            raise GraphError(f"edge {_edge_text(e, g.vertices)} does not cross the requested split")
     return ColoredBipartiteGraph(left, right, frozenset(triples))

@@ -179,6 +179,18 @@ def test_validate_exit_codes(tmp_path, ex1_file, capsys):
     assert "condition B" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["params", "validate"])
+def test_many_violations_print_a_bounded_report(tmp_path, command, capsys):
+    # One row of 300 equal colors breaks condition B 44,850 times.
+    path = tmp_path / "row.pda"
+    path.write_text("pda v1\nK=300 F=1 Z=0 S=1\n" + " ".join(["1"] * 300) + "\n")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    printed = captured.out + captured.err
+    assert len(printed.encode()) < 1024
+    assert printed.endswith("condition B: 44840 more\n")
+
+
 def test_validate_unreadable_file(tmp_path):
     bad = tmp_path / "bad.pda"
     bad.write_text("pda v1\nK=1 F=1 Z=0 S=1\nx\n")

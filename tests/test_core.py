@@ -20,6 +20,7 @@ from pdakit.core import (
     PdaArray,
     PdaError,
     PdaFormatError,
+    ValidationReport,
     Violation,
     equivalent,
     params,
@@ -321,6 +322,16 @@ def test_inequivalent_same_parameters():
     assert equivalent(p1, p2) is EquivalenceResult.INEQUIVALENT
 
 
+def test_inequivalent_on_column_signatures_alone():
+    # Valid, with equal parameters and equal row signatures: only the
+    # column-signature check tells them apart, before any search.
+    p = PdaArray([[None, None, 2], [None, None, 4], [1, 2, None], [3, 4, None]])
+    q = PdaArray([[1, None, 2], [None, 2, None], [None, 4, None], [4, None, 3]])
+    assert validate(p).is_valid and validate(q).is_valid
+    assert params(p) == params(q)
+    assert equivalent(p, q, budget=0) is EquivalenceResult.INEQUIVALENT
+
+
 def test_budget_exhaustion(example1):
     assert equivalent(example1, example1, budget=0) is EquivalenceResult.BUDGET_EXHAUSTED
 
@@ -353,6 +364,17 @@ def test_equivalence_invariant_under_random_relabeling(rnd):
     rnd.shuffle(shuffled_colors)
     other = apply_relabeling(p, row_perm, col_perm, dict(zip(colors, shuffled_colors)))
     assert equivalent(p, other) is EquivalenceResult.EQUIVALENT
+
+
+def test_report_prints_at_most_ten_violations_per_condition():
+    violations = [Violation(c, ((i, 1),)) for i in range(1, 13) for c in "BC"] + [Violation("A", ((0, 1),))]
+    report = ValidationReport(tuple(violations))
+    assert report.violations == tuple(violations)
+    assert str(report).splitlines() == [
+        *(str(v) for v in violations[:20]), str(violations[-1]), "condition B: 2 more", "condition C: 2 more"
+    ]
+    # A report within the limit prints every violation, as it always has.
+    assert str(ValidationReport(tuple(violations[:20]))) == "\n".join(map(str, violations[:20]))
 
 
 def test_validate_keeps_its_report_on_the_array(example1):
@@ -718,6 +740,12 @@ def test_read_reports_an_empty_grid_line_as_zero_tokens():
         read_pda("pda v1\nK=2 F=2 Z=1 S=1\n1 *\n\n")
     assert (info.value.line, info.value.column) == (4, 1)
     assert str(info.value) == "line 4, column 1: expected 2 tokens, found 0"
+
+
+def test_read_reports_an_empty_grid_as_the_first_grid_line():
+    with pytest.raises(PdaFormatError) as info:
+        read_pda("pda v1\nK=0 F=1 Z=0 S=0\n\n")
+    assert str(info.value) == "line 3, column 1: grid must have at least one row and one column"
 
 
 LONG = "9" * 5000  # past Python's default 4,300-digit int() limit

@@ -691,6 +691,46 @@ def test_general_strong_witnesses_do_not_depend_on_hash_seed(graph, violations):
     assert reports[0].count("condition") == violations
 
 
+EDGE_MESSAGES = {
+    "ColoredGraph(('c', 'a', 'b'), frozenset({(frozenset('abc'), 1)}))":
+        "edge {'c', 'a', 'b'} is not a 2-set (self-loops are not allowed)",
+    "ColoredGraph(('b', 'a'), frozenset({(frozenset('az'), 1)}))": "edge {'a', 'z'} uses undeclared vertices",
+    "ColoredGraph(('b', 'a'), frozenset({(frozenset('yx'), 1)}))": "edge {'x', 'y'} uses undeclared vertices",
+    "ColoredGraph(('b', 'a'), frozenset({(frozenset('ab'), 1), (frozenset('ab'), 2)}))":
+        "edge {'b', 'a'} carries more than one color",
+    "split_bipartite(ColoredGraph(('b', 'a'), frozenset({(frozenset('ab'), 1)})), 'ab')":
+        "edge {'b', 'a'} does not cross the requested split",
+}
+
+
+def test_edge_messages_follow_declared_order_under_every_hash_seed():
+    # Endpoints print in the graph's vertex order, undeclared ones last by repr;
+    # a set's own repr would follow the hash seed.
+    script = (
+        "from pdakit.graphs import ColoredGraph, GraphError, split_bipartite\n"
+        f"for build in {list(EDGE_MESSAGES)!r}:\n"
+        "    try:\n"
+        "        eval(build)\n"
+        "    except GraphError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pdakit.__file__).resolve().parents[1])}
+    for seed in ("0", "1", "2", "3"):
+        out = subprocess.run(
+            [sys.executable, "-c", script], env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.splitlines() == list(EDGE_MESSAGES.values()), seed
+
+
+def test_not_strong_error_prints_a_bounded_report_and_keeps_every_violation():
+    g = pda_to_coloring(PdaArray([[1] * 300]))
+    with pytest.raises(NotStrongError) as info:
+        star_product([g, g])
+    assert len(info.value.report.violations) == 44850
+    assert len(str(info.value).encode()) < 1024
+
+
 def test_bipartite_strong_witnesses_come_out_row_major():
     g = ColoredBipartiteGraph(
         left=("w", "v", "u"),
