@@ -232,10 +232,21 @@ class PdaArray:
         return tuple(tuple((c // K + 1, c % K + 1) for c in cells) for cells in self._classes)
 
     @cached_property
-    def star_rows(self) -> tuple[frozenset[int], ...]:
-        """Per column, the 1-based rows holding a star; built on first use."""
-        every = frozenset(range(1, self.F + 1))
-        return tuple(every.difference([j + 1 for j, _ in column]) for column in _colored_cells(self)[1])
+    def star_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Per column, the 1-based rows holding a star, ascending; built on first use.
+
+        Each column is cut from one tuple of 1..F between its colored rows, so
+        every column shares that tuple's int objects and costs a pointer per star.
+        """
+        every, out = tuple(range(1, self.F + 1)), []
+        for column in _colored_cells(self)[1]:
+            rows, at = [], 0
+            for j, _ in column:
+                rows += every[at:j]
+                at = j + 1
+            rows += every[at:]
+            out.append(tuple(rows))
+        return tuple(out)
 
     @cached_property
     def decode_plan(self) -> tuple[tuple, Optional[tuple[int, int, int, int]]]:

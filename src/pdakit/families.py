@@ -79,7 +79,7 @@ def restricted_combined_family(n: int, a: int, b: int, t: int) -> PdaArray:
         for A in combinations([x for x in range(1, n + 1) if x not in Y], a + t):  # in column order
             at, u, nested = blocks[A]
             row[at:at + per_a] = [number.setdefault(y | u | s, len(number) + 1) for s in nested]
-        grid.append(row)
+        grid.append(tuple(row))  # the array keeps this tuple, so no list row outlives its fill
     name = {_mask(T): T for k in (b, a + b) for T in subsets(n, k)}
     p = PdaArray(grid, legend={s: (name[key >> shift], name[key >> shift & ~key]) for key, s in number.items()})
     if not (report := validate(p)).is_valid:

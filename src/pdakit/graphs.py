@@ -94,9 +94,11 @@ class ColoredBipartiteGraph:
             if key in colored:
                 raise GraphError(f"pair ({l!r}, {r!r}) carries more than one color")
             colored[key] = s
-        # Keys are unique, so sorting never compares colors.
+        # Only the int keys are sorted; the map and the key list go before the edges are copied.
+        keys = sorted(colored)
         palette: dict[Label, int] = {}
-        edges = [(key // width, key % width, palette.setdefault(s, len(palette))) for key, s in sorted(colored.items())]
+        edges = [(key // width, key % width, palette.setdefault(colored[key], len(palette))) for key in keys]
+        del colored, keys
         self._set_index(left, right, edges, tuple(palette))
 
     @classmethod

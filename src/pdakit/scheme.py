@@ -106,14 +106,15 @@ class FileLibrary:
 
 @dataclass(frozen=True)
 class CacheState:
-    """Per-user caches, held as star rows rather than copied bytes.
+    """Per-user caches, held as tuples of star rows rather than copied bytes.
 
     User k holds packet (i, j) of every library file i for each star row j in
-    ``rows[k-1]``, read from ``library``; each packet is ``packet_bytes`` long.
+    ``rows[k-1]``, an ascending tuple, read from ``library``; each packet is
+    ``packet_bytes`` long.
     """
 
     library: FileLibrary
-    rows: tuple[frozenset[int], ...]
+    rows: tuple[tuple[int, ...], ...]
     packet_bytes: int
 
     def user_bytes(self, k: int) -> int:

@@ -735,6 +735,13 @@ def test_read_rejects_bad_magic_and_spacing():
         read_pda("pda v1\nK=2 F=1 Z=0 S=2\n1  2\n")
 
 
+def test_read_reports_a_missing_header_line():
+    with pytest.raises(PdaFormatError) as info:
+        read_pda("pda v1\n")
+    assert (info.value.line, info.value.column) == (2, 1)
+    assert str(info.value) == "line 2, column 1: missing header line"
+
+
 def test_read_reports_an_empty_grid_line_as_zero_tokens():
     with pytest.raises(PdaFormatError) as info:
         read_pda("pda v1\nK=2 F=2 Z=1 S=1\n1 *\n\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -256,6 +257,20 @@ def test_restricted_direct_build_equals_the_triple_build():
         assert list(direct.legend) == list(reference.legend), (n, a, b, t)
         # The family runs only the grid oracle, so the graph oracle is asked here.
         assert is_strong_coloring(pda_to_coloring(direct)).is_valid, (n, a, b, t)
+
+
+def test_restricted_family_holds_no_second_copy_of_its_grid():
+    # A list grid kept alive while the array copies it to tuples costs a
+    # pointer per cell; the build may rise above what it keeps by well under
+    # a quarter of that.  (9, 3, 6, 3) is wide and sparse: 84 x 1680, 1% colored.
+    tracemalloc.start()
+    try:
+        p = restricted_combined_family(9, 3, 6, 3)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (p.F, p.K) == (84, 1680)
+    assert peak - retained < p.F * p.K * 8 / 4
 
 
 def test_restricted_family_scans_its_array_once_with_the_grid_oracle(scans):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -269,6 +270,22 @@ def _pda_to_coloring_by_triples(p: PdaArray) -> ColoredBipartiteGraph:
         for r, e in zip(compress(right, row), filter(None, row))
     )
     return ColoredBipartiteGraph(left, right, triples)
+
+
+def test_labelled_constructor_holds_one_copy_of_its_index():
+    # A sorted list of (key, label) pairs beside the label map and the edge
+    # list would cost about 135 bytes per edge at the peak; one copy of each
+    # stays under 115.
+    g = disjoint_union_coloring(128, 1, 1)
+    triples = g.triples
+    tracemalloc.start()
+    try:
+        built = ColoredBipartiteGraph(g.left, g.right, triples)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built._edges == g._edges and built._palette == g._palette
+    assert peak - retained < 115 * len(triples)
 
 
 def _assert_strength_scan_matches_reference(p: PdaArray) -> list[Violation]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from conftest import _roundtrip_catalog, _star_to_color, _walked_classes
@@ -107,6 +108,22 @@ def test_trivial_array_single_slot():
     log = deliver(p, lib, (1, 1))
     assert len(log.slots) == 1
     assert _packet_ids(log.slots[0], (1, 1)) == frozenset({(1, 1), (1, 2)})
+
+
+def test_place_keeps_a_pointer_per_star(star_1024):
+    # A frozenset per column would cost about 64 bytes per star, 67 MB on this
+    # array; tuples cut from one shared tuple of 1..F cost a pointer per star.
+    star, _ = star_1024
+    p = PdaArray(star.grid)  # fresh, so no earlier test's star_rows is cached
+    lib = FileLibrary.for_array(p, 2, seed=0)
+    tracemalloc.start()
+    try:
+        caches = place(p, lib)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 * p.F * p.K * 8
+    assert caches.rows[0] == tuple(j + 1 for j in range(p.F) if p.grid[j][0] is None)
 
 
 def test_decoding_strips_cached_packets(example1):
