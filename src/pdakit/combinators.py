@@ -58,10 +58,9 @@ def combine_same_colors(
     for u, v, s in g2.triples:
         by_color2.setdefault(s, []).append((u, v))
     # The color sets are equal, so every color of g1 has its class in g2.
-    triples = frozenset((y, (x, u), (s, v)) for x, y, s in g1.triples for u, v in by_color2[s])
-    idx1 = {x: i for i, x in enumerate(g1.left)}
-    idx2 = {u: i for i, u in enumerate(g2.left)}
-    right = tuple(sorted({c for _, c, _ in triples}, key=lambda c: (idx1[c[0]], idx2[c[1]])))
+    triples = [(y, (x, u), (s, v)) for x, y, s in g1.triples for u, v in by_color2[s]]
+    joined = {c for _, c, _ in triples}
+    right = tuple(c for c in iproduct(g1.left, g2.left) if c in joined)
     return ColoredBipartiteGraph(g1.right, right, triples)
 
 
@@ -151,7 +150,7 @@ def cycle_product(base: ColoredBipartiteGraph, m: int) -> ColoredBipartiteGraph:
     for x in ring:
         s = x % 3 + 1
         steps += [(x, x % m + 1, s), (x % m + 1, x, f"{s}'")]
-    return star_product([ColoredBipartiteGraph(ring, ring, frozenset(steps)), base])
+    return star_product([ColoredBipartiteGraph(ring, ring, steps), base])
 
 
 def _check_inputs(mode: str, arrays: Sequence[PdaArray]) -> None:

@@ -42,7 +42,7 @@ def disjoint_union_coloring(n: int, a: int, b: int) -> ColoredBipartiteGraph:
     """Rows a-subsets, columns b-subsets, edge iff disjoint, color = union: the
     intersection-size coloring at t = 0, each color (A u B, ()) named A u B."""
     check_disjoint_union(n, a, b)
-    triples = frozenset((A, B, union) for A, B, union, _ in _intersection_edges(n, a, b, 0))
+    triples = ((A, B, union) for A, B, union, _ in _intersection_edges(n, a, b, 0))
     return ColoredBipartiteGraph(subsets(n, a), subsets(n, b), triples)
 
 
@@ -50,7 +50,7 @@ def intersection_t_coloring(n: int, a: int, b: int, t: int) -> ColoredBipartiteG
     """Rows a-subsets, columns b-subsets, edge iff the intersection has size t, colored
     (symmetric difference, A intersect B); every column has degree C(b, t) C(n - b, a - t)."""
     check_intersection_t(n, a, b, t)
-    triples = frozenset((A, B, (diff, T)) for A, B, diff, T in _intersection_edges(n, a, b, t))
+    triples = ((A, B, (diff, T)) for A, B, diff, T in _intersection_edges(n, a, b, t))
     return ColoredBipartiteGraph(subsets(n, a), subsets(n, b), triples)
 
 

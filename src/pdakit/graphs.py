@@ -68,10 +68,10 @@ class ColoredBipartiteGraph:
     PDA, and every scan reads the index, never the labels.  ``triples``, the
     (row-vertex, column-vertex, color) label triples, is derived from the
     index on first read, as an array's ``color_cells`` is from its cell index.
-    ``ColoredBipartiteGraph(left, right, triples)`` builds the index from
-    triples: at most one per vertex pair, each endpoint declared, and each
-    color declared by appearing in one.  No verdict is kept: each
-    ``is_strong_coloring`` call scans.
+    ``ColoredBipartiteGraph(left, right, triples)`` reads any iterable of
+    triples once: at most one per vertex pair (no caller deduplicates first),
+    each endpoint declared and each color declared by appearing in one.  No
+    verdict is kept: each ``is_strong_coloring`` call scans.
     """
 
     left: tuple[Label, ...]
@@ -92,7 +92,8 @@ class ColoredBipartiteGraph:
                 raise GraphError(f"triple endpoint ({l!r}, {r!r}) not among declared vertices")
             key = row[l] * width + col[r]
             if key in colored:
-                raise GraphError(f"pair ({l!r}, {r!r}) carries more than one color")
+                twice = "appears in more than one triple" if colored[key] == s else "carries more than one color"
+                raise GraphError(f"pair ({l!r}, {r!r}) {twice}")
             colored[key] = s
         # Only the int keys are sorted; the map and the key list go before the edges are copied.
         keys = sorted(colored)
@@ -163,16 +164,15 @@ class ColoredGraph:
 
 
 def _strong_violations_bipartite(g: ColoredBipartiteGraph) -> list[Violation]:
-    # Each color's own edge tuples, row-major.
+    # One walk gives each color its own edge tuples, row-major, and each row
+    # its neighbours as a set of column positions.  Sets, not bitmasks over
+    # the columns: a mask costs a word per 30 columns at every edge, so a wide
+    # graph's scan would grow with edges times width.
     by_color: list[list[tuple[int, int, int]]] = [[] for _ in g._palette]
+    adjacent: list[set[int]] = [set() for _ in g.left]
     for edge in g._edges:
         by_color[edge[2]].append(edge)
-    # Each row's neighbours as a set of column positions.  Sets, not bitmasks
-    # over the columns: a mask costs a word per 30 columns at every edge, so a
-    # wide graph's scan would grow with edges times width.
-    adjacent: list[set[int]] = [set() for _ in g.left]
-    for j, k, _ in g._edges:
-        adjacent[j].add(k)
+        adjacent[edge[0]].add(edge[1])
     left, right = g.left, g.right
     violations: list[Violation] = []
     for s, edges in zip(g._palette, by_color):
@@ -270,11 +270,9 @@ def coloring_to_pda(g: ColoredBipartiteGraph) -> PdaArray:
 
 def as_general_graph(g: ColoredBipartiteGraph) -> ColoredGraph:
     """Forget sides, tagging each vertex ("row", l) or ("col", r): the sides ``tensor_product`` reads."""
-    vertices = tuple(("row", l) for l in g.left) + tuple(("col", r) for r in g.right)
-    edges = frozenset(
-        (frozenset({("row", l), ("col", r)}), s) for l, r, s in g.triples
-    )
-    return ColoredGraph(vertices, edges)
+    rows, cols = tuple(("row", l) for l in g.left), tuple(("col", r) for r in g.right)
+    edges = frozenset((frozenset((rows[j], cols[k])), g._palette[c]) for j, k, c in g._edges)
+    return ColoredGraph(rows + cols, edges)
 
 
 def split_bipartite(g: ColoredGraph, left_vertices: Iterable[Label]) -> ColoredBipartiteGraph:
@@ -295,4 +293,4 @@ def split_bipartite(g: ColoredGraph, left_vertices: Iterable[Label]) -> ColoredB
             triples.append((v, u, s))
         else:
             raise GraphError(f"edge {_edge_text(e, g.vertices)} does not cross the requested split")
-    return ColoredBipartiteGraph(left, right, frozenset(triples))
+    return ColoredBipartiteGraph(left, right, triples)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from pdakit import cli
 from pdakit.analytics import (
     CSV_HEADER,
     TABLE_NAMES,
@@ -25,13 +26,13 @@ from pdakit.analytics import (
     table_report,
 )
 from pdakit.combinators import cycle_product, star_product
-from pdakit.core import params
+from pdakit.core import params, read_pda, validate
 from pdakit.families import (
     disjoint_union_coloring,
     intersection_t_coloring,
     restricted_combined_family,
 )
-from pdakit.graphs import coloring_to_pda
+from pdakit.graphs import coloring_to_pda, is_strong_coloring, pda_to_coloring
 
 
 def test_restricted_family_params_large_row():
@@ -268,6 +269,37 @@ def test_table_ix_matches_published_values_exactly():
     assert all(tr.R == 2 for tr in rows)
     assert all(tr.one_minus_MN == Fraction(3, 8) for tr in rows)
     assert all(tr.divergence == () for tr in rows)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "table, n, build, combine",
+    [
+        *(
+            pytest.param("III", n, ["--family", "restricted-combined", "--n", str(n), "--a", "1",
+                                    "--b", str(n // 2), "--t", "1"], None, id=f"III-n={n}")
+            for n in (10, 12, 14)
+        ),
+        *(
+            pytest.param("VII", n, ["--family", "disjoint-union", "--n", str(n), "--a", str(n // 2), "--b", "2"],
+                         ["--mode", "cycle", "--m", "6"], id=f"VII-n={n}")
+            for n in (10, 12)
+        ),
+    ],
+)
+def test_published_rows_built_through_the_cli_measure_as_their_closed_forms(table, n, build, combine, tmp_path):
+    path = built = tmp_path / "built.pda"
+    assert cli.main(["build", *build, "-o", str(built)]) == 0
+    if combine:
+        path = tmp_path / "combined.pda"
+        assert cli.main(["combine", *combine, str(built), "-o", str(path)]) == 0
+    p = read_pda(path.read_text())
+    assert validate(p).is_valid and is_strong_coloring(pda_to_coloring(p)).is_valid
+    pr = params(p)
+    row = next(r for r in table_report(table) if r.label == f"n={n}")
+    assert (pr.K, 1 - pr.ratio, pr.F, pr.rate) == (row.K, row.one_minus_MN, row.F, row.R)
+    if table == "VII":
+        assert row.divergence == ("one_minus_MN", "F", "R")
 
 
 def test_table_v_rows_and_flags():

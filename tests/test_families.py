@@ -273,6 +273,25 @@ def test_restricted_family_holds_no_second_copy_of_its_grid():
     assert peak - retained < p.F * p.K * 8 / 4
 
 
+@pytest.mark.parametrize(
+    "build, bytes_per_edge",
+    [
+        pytest.param(lambda: disjoint_union_coloring(256, 1, 1), 180, id="disjoint-union"),
+        pytest.param(lambda: intersection_t_coloring(10, 4, 4, 2), 240, id="intersection-t"),
+    ],
+)
+def test_coloring_family_builds_hold_no_second_copy_of_their_edges(build, bytes_per_edge):
+    # A hashed set of the label triples beside the constructor's map of them
+    # would cost about 140 more bytes per edge at the peak than one pass does.
+    tracemalloc.start()
+    try:
+        g = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < bytes_per_edge * len(g._edges)
+
+
 def test_restricted_family_scans_its_array_once_with_the_grid_oracle(scans):
     p = restricted_combined_family(5, 2, 2, 1)
     assert [id(obj) for obj in scans] == [id(p)]

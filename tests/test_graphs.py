@@ -651,6 +651,11 @@ def test_graph_construction_errors():
             id="bipartite-two-colors",
         ),
         pytest.param(
+            lambda: ColoredBipartiteGraph((1,), ("x",), [(1, "x", 1), (1, "x", 1)]),
+            "pair (1, 'x') appears in more than one triple",
+            id="bipartite-repeated-triple",
+        ),
+        pytest.param(
             lambda: ColoredGraph((1,), frozenset({(frozenset({1}), 1)})),
             "edge {1} is not a 2-set (self-loops are not allowed)",
             id="general-not-a-2-set",
